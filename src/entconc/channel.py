@@ -9,6 +9,16 @@ action on two photons is, on the polarization basis of B x E:
 These are the amplitude rules induced by the creation-operator convention
 implemented in :mod:`entconc.fock`, against which this closed-form map is
 cross-checked.
+
+When the two photons carry orthogonal internal tags they cannot interfere.
+Post-selection then keeps two incoherent events: both photons transmitted
+(amplitude T, polarizations stay in their modes) and both reflected
+(amplitude -R, the polarizations swap modes).  That is the Kraus pair
+{T I, -R SWAP} on B x E:
+
+    rho -> T^2 rho + R^2 SWAP rho SWAP,
+
+with success probability T^2 + R^2 for a normalized input.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
 from .errors import DimensionError, EntconcError
 from .qmath import DensityMatrix, kron, normalize
 
@@ -54,6 +63,10 @@ class PostSelectedState:
     success_prob: float
 
 
+# SWAP on B x E: exchanges |HV> and |VH>.
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
 def coupling_block(params: CouplingParams) -> np.ndarray:
     """The 4x4 post-selected amplitude map on the B x E polarization space."""
     T, R = params.T, params.R
@@ -68,16 +81,20 @@ def coupling_block(params: CouplingParams) -> np.ndarray:
     )
 
 
+def _check_dims(where: str, signal: DensityMatrix, env: DensityMatrix) -> None:
+    if signal.dims != (2, 2):
+        raise DimensionError(f"{where}: signal dims {signal.dims}, expected (2, 2)")
+    if env.dims != (2,):
+        raise DimensionError(f"{where}: env dims {env.dims}, expected (2,)")
+
+
 def couple(signal: DensityMatrix, env: DensityMatrix, params: CouplingParams) -> PostSelectedState:
     """Couple the B qubit of a two-qubit signal state with one environment qubit.
 
     Returns the normalized three-qubit state on (A, B, E) and the trace of the
     unnormalized one-photon-per-mode block as success probability.
     """
-    if signal.dims != (2, 2):
-        raise DimensionError(f"couple: signal dims {signal.dims}, expected (2, 2)")
-    if env.dims != (2,):
-        raise DimensionError(f"couple: env dims {env.dims}, expected (2,)")
+    _check_dims("couple", signal, env)
     op = kron(np.eye(2, dtype=complex), coupling_block(params))
     joint = kron(signal.mat, env.mat)
     unnorm = op @ joint @ op.conj().T
@@ -89,9 +106,14 @@ def couple_distinguishable(
     signal: DensityMatrix, env: DensityMatrix, params: CouplingParams
 ) -> PostSelectedState:
     """Same coupling when signal and environment photons carry orthogonal
-    internal tags, so no two-photon interference occurs.  Computed by the
-    second-quantized simulator with the tag traced out."""
-    return fock.oracle_couple(signal, env, params.T, distinguishable=True)
+    internal tags, so no two-photon interference occurs: the Kraus pair
+    {T I, -R SWAP} on (B, E), with the tag traced out."""
+    _check_dims("couple_distinguishable", signal, env)
+    swap = kron(np.eye(2, dtype=complex), _SWAP)
+    joint = kron(signal.mat, env.mat)
+    unnorm = params.T**2 * joint + params.R**2 * (swap @ joint @ swap)
+    rho, prob = normalize(unnorm, (2, 2, 2))
+    return PostSelectedState(rho, prob)
 
 
 def couple_mixed_indistinguishability(

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import (
     CouplingParams,
@@ -35,15 +34,8 @@ from .channel import (
     couple_mixed_indistinguishability,
 )
 from .errors import DegenerateCouplingError, DimensionError, EntconcError
-from .qmath import DensityMatrix, kron, normalize
+from .qmath import DensityMatrix, kron, normalize, partial_trace
 from .states import KET_H, KET_V, mixed_env, singlet_standard
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    result: str  # "H" or "V"
-    probability: float
-    basis: str = "HV"
 
 
 @dataclass(frozen=True)
@@ -121,8 +113,6 @@ def measure_env(state: PostSelectedState, result: str) -> PostSelectedState:
         raise DimensionError(f"measure_env: dims {state.rho.dims}, expected 3 qubits")
     proj = kron(np.eye(4, dtype=complex), _PROJ[result])
     unnorm = proj @ state.rho.mat @ proj
-    from .qmath import partial_trace
-
     reduced = partial_trace(unnorm, (2, 2, 2), (0, 1))
     rho, prob = normalize(reduced, (2, 2))
     return PostSelectedState(rho, state.success_prob * prob)
@@ -141,38 +131,26 @@ def apply_filter(state: DensityMatrix, spec: FilterSpec) -> PostSelectedState:
     return PostSelectedState(rho, prob)
 
 
-def _bloch_unitary(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array(
-        [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]],
-        dtype=complex,
-    )
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def feed_forward(v_branch: DensityMatrix, h_branch: DensityMatrix) -> tuple[DensityMatrix, np.ndarray]:
-    """Best local correction on Bob's qubit for the V measurement branch.
+def feed_forward(v_branch: DensityMatrix) -> tuple[DensityMatrix, np.ndarray]:
+    """Local correction X_A x X_B of the V measurement branch.
 
-    The correcting unitary is found numerically by maximizing the fidelity
-    between the corrected V-branch state and the H-branch one.  Concurrence
-    is untouched by any such local unitary, so both branches contribute the
-    same entanglement regardless of the residual infidelity.
+    Returns the corrected state and the 4x4 correcting unitary.
+
+    X_A x X_B x X_E leaves the coupled three-qubit state invariant whenever
+    the two-qubit input is X x X invariant (the singlet, any Werner state):
+    the unpolarized environment I/2 is invariant under X_E, and both coupling
+    maps on (B, E), the interfering block and the distinguishable Kraus pair
+    {T I, -R SWAP}, commute with X_B x X_E.  Projecting E onto |V> = X|H>
+    therefore gives exactly X_A X_B (H branch) X_A X_B, so the correction
+    maps the V branch onto the H branch with fidelity 1 for every T and p.
+    For other inputs the correction is still applied but carries no such
+    guarantee.
     """
-    from .metrics import fidelity
-
-    def corrected(x):
-        u = kron(np.eye(2, dtype=complex), _bloch_unitary(*x))
-        return DensityMatrix(u @ v_branch.mat @ u.conj().T, (2, 2))
-
-    def cost(x):
-        return -fidelity(corrected(x), h_branch)
-
-    best = None
-    for x0 in ([0.0, 0.0, 0.0], [np.pi, 0.0, 0.0], [np.pi / 2, np.pi / 2, 0.0]):
-        res = minimize(cost, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
-        if best is None or res.fun < best.fun:
-            best = res
-    u = _bloch_unitary(*best.x)
-    return corrected(best.x), u
+    u = kron(_PAULI_X, _PAULI_X)
+    return DensityMatrix(u @ v_branch.mat @ u.conj().T, (2, 2)), u
 
 
 def rebalance_branch(T: float) -> tuple[str, str, float]:
@@ -294,7 +272,7 @@ def run_protocol(
     h_branch = measure_env(coupled, "H")
     if feed_forward_enabled:
         v_branch = measure_env(coupled, "V")
-        v_corrected, _ = feed_forward(v_branch.rho, h_branch.rho)
+        v_corrected, _ = feed_forward(v_branch.rho)
         mixed = prob_h * h_branch.rho.mat + prob_v * v_corrected.mat
         _, kept = normalize(mixed, (2, 2))
         trace.record("measured", h_branch.rho, kept)

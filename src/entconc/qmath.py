@@ -35,13 +35,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
-
-
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 

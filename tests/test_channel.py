@@ -6,11 +6,12 @@ from entconc.channel import (
     CouplingParams,
     IndistinguishabilityModel,
     couple,
+    couple_distinguishable,
     couple_mixed_indistinguishability,
 )
 from entconc.errors import EntconcError
 from entconc.metrics import concurrence
-from entconc.qmath import kron
+from entconc.qmath import DensityMatrix, kron, random_psd
 from entconc.states import mixed_env, singlet_standard
 
 SQ3 = 1.0 / np.sqrt(3)
@@ -149,3 +150,14 @@ class TestMixedIndistinguishability:
             p * coh.success_prob * coh.rho.mat + (1 - p) * dist.success_prob * dist.rho.mat
         ) / expected_prob
         assert np.abs(mixed.rho.mat - expected).max() < 1e-12
+
+    def test_distinguishable_matches_fock_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            signal = DensityMatrix(random_psd(4, rng), (2, 2))
+            env = DensityMatrix(random_psd(2, rng), (2,))
+            T = float(rng.uniform(0, 1))
+            cf = couple_distinguishable(signal, env, CouplingParams(T))
+            orc = fock.oracle_couple(signal, env, T, distinguishable=True)
+            assert np.abs(cf.rho.mat - orc.rho.mat).max() < 1e-12
+            assert abs(cf.success_prob - orc.success_prob) < 1e-12

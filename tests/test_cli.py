@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entconc
 from entconc.cli import main
 
 
@@ -216,3 +221,18 @@ class TestInterface:
         assert main(args + ["--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_import_loads_no_scipy(self):
+        # Start-up cost: the CLI must import without pulling in scipy.
+        src = str(Path(entconc.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = (
+            "import sys, entconc.cli; "
+            "print(','.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from entconc.channel import CouplingParams, couple
+from entconc.channel import (
+    CouplingParams,
+    IndistinguishabilityModel,
+    couple,
+    couple_mixed_indistinguishability,
+)
 from entconc.errors import DegenerateCouplingError, EntconcError
 from entconc.metrics import concurrence, fidelity
 from entconc.protocol import (
@@ -70,15 +75,29 @@ class TestFeedForward:
         ps = couple(singlet_standard(), mixed_env(), CouplingParams(1.0))
         h = measure_env(ps, "H")
         v = measure_env(ps, "V")
-        corrected, _ = feed_forward(v.rho, h.rho)
+        corrected, _ = feed_forward(v.rho)
         assert fidelity(corrected, h.rho) == pytest.approx(1.0, abs=1e-8)
 
     def test_concurrence_equality(self):
         ps = couple(singlet_standard(), mixed_env(), CouplingParams(0.4))
         h = measure_env(ps, "H")
         v = measure_env(ps, "V")
-        corrected, _ = feed_forward(v.rho, h.rho)
+        corrected, _ = feed_forward(v.rho)
         assert abs(concurrence(corrected).value - concurrence(h.rho).value) < 1e-10
+
+    @pytest.mark.parametrize("p", [1.0, 0.85, 0.0])
+    @pytest.mark.parametrize("T", [0.05, 0.2, 0.4, 0.6, 0.95])
+    def test_corrected_branch_matches_h_branch(self, T, p):
+        ps = couple_mixed_indistinguishability(
+            singlet_standard(), mixed_env(), CouplingParams(T), IndistinguishabilityModel(p)
+        )
+        h = measure_env(ps, "H")
+        v = measure_env(ps, "V")
+        corrected, u = feed_forward(v.rho)
+        assert fidelity(corrected, h.rho) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(corrected.mat - h.rho.mat).max() < 1e-12
+        assert u.shape == (4, 4)
+        assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
 
 
 class TestRebalanceFilter:
