@@ -19,6 +19,13 @@ Post-selection then keeps two incoherent events: both photons transmitted
     rho -> T^2 rho + R^2 SWAP rho SWAP,
 
 with success probability T^2 + R^2 for a normalized input.
+
+Partial indistinguishability p mixes the two before post-selection, with K
+the interfering block: one Kraus map on B x E, normalized once,
+
+    rho -> p K rho K^dag + (1 - p) (T^2 rho + R^2 SWAP rho SWAP),
+
+so a branch that vanishes (HOM bunching) drops only its own weight.
 """
 
 from __future__ import annotations
@@ -63,8 +70,8 @@ class PostSelectedState:
     success_prob: float
 
 
-# SWAP on B x E: exchanges |HV> and |VH>.
-_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+# SWAP on (B, E) of the (A, B, E) space: exchanges |HV> and |VH> of (B, E).
+_SWAP_ABE = kron(np.eye(2, dtype=complex), np.eye(4, dtype=complex)[[0, 2, 1, 3]])
 
 
 def coupling_block(params: CouplingParams) -> np.ndarray:
@@ -81,25 +88,13 @@ def coupling_block(params: CouplingParams) -> np.ndarray:
     )
 
 
-def _check_dims(where: str, signal: DensityMatrix, env: DensityMatrix) -> None:
-    if signal.dims != (2, 2):
-        raise DimensionError(f"{where}: signal dims {signal.dims}, expected (2, 2)")
-    if env.dims != (2,):
-        raise DimensionError(f"{where}: env dims {env.dims}, expected (2,)")
-
-
 def couple(signal: DensityMatrix, env: DensityMatrix, params: CouplingParams) -> PostSelectedState:
     """Couple the B qubit of a two-qubit signal state with one environment qubit.
 
     Returns the normalized three-qubit state on (A, B, E) and the trace of the
     unnormalized one-photon-per-mode block as success probability.
     """
-    _check_dims("couple", signal, env)
-    op = kron(np.eye(2, dtype=complex), coupling_block(params))
-    joint = kron(signal.mat, env.mat)
-    unnorm = op @ joint @ op.conj().T
-    rho, prob = normalize(unnorm, (2, 2, 2))
-    return PostSelectedState(rho, prob)
+    return couple_mixed_indistinguishability(signal, env, params, IndistinguishabilityModel(1.0))
 
 
 def couple_distinguishable(
@@ -108,12 +103,7 @@ def couple_distinguishable(
     """Same coupling when signal and environment photons carry orthogonal
     internal tags, so no two-photon interference occurs: the Kraus pair
     {T I, -R SWAP} on (B, E), with the tag traced out."""
-    _check_dims("couple_distinguishable", signal, env)
-    swap = kron(np.eye(2, dtype=complex), _SWAP)
-    joint = kron(signal.mat, env.mat)
-    unnorm = params.T**2 * joint + params.R**2 * (swap @ joint @ swap)
-    rho, prob = normalize(unnorm, (2, 2, 2))
-    return PostSelectedState(rho, prob)
+    return couple_mixed_indistinguishability(signal, env, params, IndistinguishabilityModel(0.0))
 
 
 def couple_mixed_indistinguishability(
@@ -122,18 +112,21 @@ def couple_mixed_indistinguishability(
     params: CouplingParams,
     model: IndistinguishabilityModel,
 ) -> PostSelectedState:
-    """Mixture of the interfering and the orthogonal-tag coupling outputs.
-
-    Each branch enters with its own post-selection probability: the
-    unnormalized blocks are mixed with weights p and 1-p and renormalized,
-    so success_prob = p * prob_coherent + (1-p) * prob_distinguishable.
-    """
-    coherent = couple(signal, env, params)
-    if model.p == 1.0:
-        return coherent
-    dist = couple_distinguishable(signal, env, params)
-    w_c = model.p * coherent.success_prob
-    w_d = (1.0 - model.p) * dist.success_prob
-    mix = w_c * coherent.rho.mat + w_d * dist.rho.mat
-    rho, prob = normalize(mix, (2, 2, 2))
+    """Coupling at indistinguishability p: the single Kraus map of the module
+    docstring, normalized once, so success_prob = p * prob_coherent +
+    (1-p) * prob_distinguishable.  A branch of weight 0 is not computed: p = 1
+    is :func:`couple` and p = 0 is :func:`couple_distinguishable`."""
+    if signal.dims != (2, 2):
+        raise DimensionError(f"couple: signal dims {signal.dims}, expected (2, 2)")
+    if env.dims != (2,):
+        raise DimensionError(f"couple: env dims {env.dims}, expected (2,)")
+    joint = kron(signal.mat, env.mat)
+    unnorm = 0.0
+    if model.p > 0.0:
+        op = kron(np.eye(2, dtype=complex), coupling_block(params))
+        unnorm = model.p * (op @ joint @ op.conj().T)
+    if model.p < 1.0:
+        swapped = _SWAP_ABE @ joint @ _SWAP_ABE
+        unnorm = unnorm + (1.0 - model.p) * (params.T**2 * joint + params.R**2 * swapped)
+    rho, prob = normalize(unnorm, (2, 2, 2))
     return PostSelectedState(rho, prob)

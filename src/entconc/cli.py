@@ -30,6 +30,7 @@ from .errors import ConfigError, EntconcError, InvariantViolation
 from .fock import estimate_overlap, hom_coincidence_prob, hom_scan
 from .metrics import concurrence, fidelity
 from .protocol import (
+    filtration,
     raw_attenuations,
     run_protocol,
     sigma2_closed_form,
@@ -137,23 +138,21 @@ def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
     rows = []
     traces = []
     for t in ts:
+        # Couple and measure once; each filter column branches from here.
         tr = run_protocol(float(t), p=p, feed_forward_enabled=feed)
         coupled = tr.steps[1].state
+        measured = tr.final_state
         c_no = concurrence(coupled.ptrace((0, 1))).value
-        c_post = concurrence(tr.final_state).value
+        c_post = concurrence(measured).value
         row = [float(t), c_no, c_post, tr.cumulative_prob]
         for e in eps_list:
             if abs(t - 0.5) < 1e-12:
                 row.append(0.0)
             else:
-                tre = run_protocol(float(t), eps=e, p=p, feed_forward_enabled=feed)
-                row.append(concurrence(tre.final_state).value)
+                row.append(concurrence(filtration(measured, float(t), eps=e)[-1].state).value)
         if a_a is not None and a_b is not None:
-            trr = run_protocol(
-                float(t), p=p, feed_forward_enabled=feed,
-                raw_filters=raw_attenuations(float(a_a), float(a_b)),
-            )
-            row.append(concurrence(trr.final_state).value)
+            raw = raw_attenuations(float(a_a), float(a_b))
+            row.append(concurrence(filtration(measured, float(t), raw_filters=raw)[-1].state).value)
         rows.append(row)
         if str(cfg.get("dump_trace", "false")).lower() in ("1", "true", "yes"):
             traces.append(
@@ -194,12 +193,14 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
     header = ["N", "C_closed", "C_sim", "P_N"]
     for e in eps_list:
         header += [f"C_filt_eps_{e:g}", f"P_III_eps_{e:g}"]
+    # Simulate to n_max once and read each prefix from its measured_N step;
+    # A_N only shrinks with N, so the one filtration fails iff a prefix's would.
+    steps = simulate_cascade(CascadeParams(tuple(t_all[:n_max]), eps=1.0), p=p).steps
+    measured = {s.name: s.state for s in steps}
     rows = []
     for n in range(1, n_max + 1):
-        ts = tuple(t_all[:n])
-        co = coefficients(CascadeParams(ts))
-        tr = simulate_cascade(CascadeParams(ts, eps=1.0), p=p)
-        c_sim = concurrence(tr.steps[-2].state).value
+        co = coefficients(CascadeParams(tuple(t_all[:n])))
+        c_sim = concurrence(measured[f"measured_{n}"]).value
         row = [n, closed_form_concurrence(co), c_sim, co.p_success]
         for e in eps_list:
             row += [filtered_concurrence(co, e), filtered_success_prob(co, e)]

@@ -252,8 +252,7 @@ def run_protocol(
     The filtered chain follows the H measurement branch.  With feed-forward
     enabled the V branch is corrected and kept for probability accounting;
     without it the branch is discarded and the cumulative probability is
-    halved.  ``raw_filters`` replaces the derived (rebalance, eps) filter
-    pair with explicit per-party attenuations.
+    halved.  The filter stages come from :func:`filtration`.
     """
     if eps is not None and raw_filters is not None:
         raise EntconcError("run_protocol: give either eps or raw_filters, not both")
@@ -262,9 +261,8 @@ def run_protocol(
     trace = ProtocolTrace(feed_forward_applied=feed_forward_enabled)
     trace.record("input", input_state, 1.0)
 
-    params = CouplingParams(T)
     coupled = couple_mixed_indistinguishability(
-        input_state, mixed_env(), params, IndistinguishabilityModel(p)
+        input_state, mixed_env(), CouplingParams(T), IndistinguishabilityModel(p)
     )
     trace.record("coupled", coupled.rho, coupled.success_prob)
 
@@ -278,14 +276,23 @@ def run_protocol(
         trace.record("measured", h_branch.rho, kept)
     else:
         trace.record("measured", h_branch.rho, prob_h)
-    state = h_branch.rho
-
-    if raw_filters is not None:
-        filtered = apply_filter(state, raw_filters)
-        trace.record("filtered_raw", filtered.rho, filtered.success_prob)
-    elif eps is not None:
-        rebalanced = rebalance_filter(state, params)
-        trace.record("rebalanced", rebalanced.rho, rebalanced.success_prob)
-        filtered = epsilon_filter(rebalanced.rho, eps)
-        trace.record("filtered", filtered.rho, filtered.success_prob)
+    trace.steps += filtration(h_branch.rho, T, eps, raw_filters)
     return trace
+
+
+def filtration(
+    measured: DensityMatrix, T: float, eps: float | None = None, raw_filters: FilterSpec | None = None
+) -> list[ProtocolStep]:
+    """Filter stages on the measured H branch at coupling T: ``raw_filters``
+    alone, else the rebalance filter then the eps filter, else none."""
+    if raw_filters is not None:
+        filtered = apply_filter(measured, raw_filters)
+        return [ProtocolStep("filtered_raw", filtered.rho, filtered.success_prob)]
+    if eps is None:
+        return []
+    rebalanced = rebalance_filter(measured, CouplingParams(T))
+    filtered = epsilon_filter(rebalanced.rho, eps)
+    return [
+        ProtocolStep("rebalanced", rebalanced.rho, rebalanced.success_prob),
+        ProtocolStep("filtered", filtered.rho, filtered.success_prob),
+    ]

@@ -113,10 +113,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
-
     def ptrace(self, keep: tuple[int, ...]) -> "DensityMatrix":
         keep = tuple(sorted(set(keep)))
         out = partial_trace(self.mat, self.dims, keep)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entconc import fock
 from entconc.channel import (
@@ -9,7 +11,7 @@ from entconc.channel import (
     couple_distinguishable,
     couple_mixed_indistinguishability,
 )
-from entconc.errors import EntconcError
+from entconc.errors import EntconcError, ZeroProbabilityError
 from entconc.metrics import concurrence
 from entconc.qmath import DensityMatrix, kron, random_psd
 from entconc.states import mixed_env, singlet_standard
@@ -161,3 +163,70 @@ class TestMixedIndistinguishability:
             orc = fock.oracle_couple(signal, env, T, distinguishable=True)
             assert np.abs(cf.rho.mat - orc.rho.mat).max() < 1e-12
             assert abs(cf.success_prob - orc.success_prob) < 1e-12
+
+    def test_vanishing_coherent_branch_keeps_distinguishable_weight(self):
+        # |HV> x |V> at T = 1/2: HOM bunching empties the interfering block,
+        # so only the distinguishable branch (weight 1/2) survives, scaled by 1-p.
+        signal, env = _input_pair(0, (1, 1))
+        params = CouplingParams(0.5)
+        with pytest.raises(ZeroProbabilityError):
+            couple(signal, env, params)
+        dist = couple_distinguishable(signal, env, params)
+        mixed = couple_mixed_indistinguishability(
+            signal, env, params, IndistinguishabilityModel(0.5)
+        )
+        assert mixed.success_prob == pytest.approx(0.25, abs=1e-12)
+        assert np.abs(mixed.rho.mat - dist.rho.mat).max() < 1e-12
+
+
+def _oracle_unnorm(signal, env, T, distinguishable):
+    """Unnormalized oracle branch w * rho, zero where the oracle finds no weight."""
+    try:
+        ps = fock.oracle_couple(signal, env, T, distinguishable=distinguishable)
+    except ZeroProbabilityError:
+        return np.zeros((8, 8), dtype=complex)
+    return ps.success_prob * ps.rho.mat
+
+
+def _input_pair(seed, basis):
+    """Random full-rank signal/env states, or the product basis state
+    |basis[0]> x |basis[1]> (signal index 0-3, env index 0-1)."""
+    if basis is None:
+        rng = np.random.default_rng(seed)
+        return (
+            DensityMatrix(random_psd(4, rng), (2, 2)),
+            DensityMatrix(random_psd(2, rng), (2,)),
+        )
+    sig, env = np.zeros(4), np.zeros(2)
+    sig[basis[0]], env[basis[1]] = 1.0, 1.0
+    return DensityMatrix(np.diag(sig), (2, 2)), DensityMatrix(np.diag(env), (2,))
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_BASIS = st.none() | st.tuples(st.integers(0, 3), st.integers(0, 1))
+
+
+class TestMixedKernelProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(T=_UNIT, p=_UNIT, seed=st.integers(0, 2**32 - 1), basis=_BASIS)
+    @example(T=0.0, p=0.85, seed=1, basis=None)
+    @example(T=0.5, p=0.85, seed=2, basis=None)
+    @example(T=1.0, p=0.85, seed=3, basis=None)
+    @example(T=float(SQ3), p=0.3, seed=4, basis=None)
+    @example(T=float(1 - SQ3), p=0.3, seed=5, basis=None)
+    @example(T=0.5, p=0.5, seed=0, basis=(1, 1))
+    @example(T=0.5, p=1.0, seed=0, basis=(1, 1))
+    def test_matches_oracle_mixture(self, T, p, seed, basis):
+        signal, env = _input_pair(seed, basis)
+        coh = _oracle_unnorm(signal, env, T, distinguishable=False)
+        dist = _oracle_unnorm(signal, env, T, distinguishable=True)
+        model = IndistinguishabilityModel(p)
+        if p * np.trace(coh).real == 0.0 and (1 - p) * np.trace(dist).real == 0.0:
+            with pytest.raises(ZeroProbabilityError):
+                couple_mixed_indistinguishability(signal, env, CouplingParams(T), model)
+            return
+        got = couple_mixed_indistinguishability(signal, env, CouplingParams(T), model)
+        expected = p * coh + (1 - p) * dist
+        assert np.abs(got.success_prob * got.rho.mat - expected).max() < 1e-10
+        assert abs(np.trace(got.rho.mat) - 1.0) < 1e-10
+        assert np.linalg.eigvalsh(got.rho.mat).min() > -1e-10

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import entconc
+from entconc.cascade import CascadeParams, simulate_cascade
 from entconc.cli import main
+from entconc.metrics import concurrence
+from entconc.protocol import raw_attenuations, run_protocol
 
 
 def _run(argv, capsys):
@@ -100,6 +103,36 @@ class TestProtocolCommand:
         row = _read_csv(out)[0]
         assert float(row["C_raw_filter"]) == pytest.approx(0.4616, abs=1e-3)
 
+    @pytest.mark.parametrize("feed", ["false", "true"])
+    def test_filter_columns_match_separate_runs(self, tmp_path, feed, capsys):
+        # The command couples and measures once per T and branches to every
+        # filter column; each cell must equal its own full protocol run.
+        ts, eps_list, p = [0.15, 0.35, 0.62, 0.9], [0.4, 0.07], 0.85
+        out = tmp_path / "proto.json"
+        code, _, _ = _run(
+            [
+                "protocol", "--out", str(out), "--format", "json",
+                "--set", "t_grid=" + ",".join(map(str, ts)),
+                "--set", "eps_list=" + ",".join(map(str, eps_list)),
+                "--set", f"p={p}", "--set", f"feed_forward={feed}",
+                "--set", "a_a=0.12", "--set", "a_b=0.30",
+            ],
+            capsys,
+        )
+        assert code == 0
+        ff = feed == "true"
+        for t, row in zip(ts, json.loads(out.read_text())):
+            for e in eps_list:
+                tr = run_protocol(t, eps=e, p=p, feed_forward_enabled=ff)
+                assert row[f"C_eps_{e:g}"] == pytest.approx(
+                    concurrence(tr.final_state).value, abs=1e-12
+                )
+            raw = raw_attenuations(0.12, 0.30)
+            tr = run_protocol(t, p=p, feed_forward_enabled=ff, raw_filters=raw)
+            assert row["C_raw_filter"] == pytest.approx(
+                concurrence(tr.final_state).value, abs=1e-12
+            )
+
     def test_trace_dump(self, tmp_path, capsys):
         out = tmp_path / "proto.csv"
         trace = tmp_path / "trace.json"
@@ -141,7 +174,35 @@ class TestCascadeCommand:
             ["cascade", "--set", "t_list=0.4,0.5", "--set", "n_max=3"], capsys
         )
         assert code == 2
-        assert "config error" in err
+        assert "config error: t_list shorter than n_max" in err
+
+    def test_prefixes_match_own_simulation(self, tmp_path, capsys):
+        # The command simulates to n_max once and reads every prefix from it;
+        # each row must equal a separate simulation of that prefix.
+        ts, p = [0.3, 0.9, 0.62, 0.45, 0.2, 0.8, 0.7, 0.55], 0.85
+        out = tmp_path / "casc.json"
+        code, _, _ = _run(
+            [
+                "cascade", "--out", str(out), "--format", "json",
+                "--set", "t_list=" + ",".join(map(str, ts)), "--set", "n_max=8",
+                "--set", f"p={p}",
+            ],
+            capsys,
+        )
+        assert code == 0
+        rows = json.loads(out.read_text())
+        assert [r["N"] for r in rows] == list(range(1, 9))
+        for n, row in enumerate(rows, start=1):
+            tr = simulate_cascade(CascadeParams(tuple(ts[:n]), eps=1.0), p=p)
+            assert row["C_sim"] == pytest.approx(concurrence(tr.steps[-2].state).value, abs=1e-12)
+
+    def test_zero_transmittivity_in_prefix_exits_2(self, capsys):
+        # A_N = 0 from N = 2 on: the single final filtration must still fail.
+        code, _, err = _run(
+            ["cascade", "--set", "t_list=0.3,0,0.6", "--set", "n_max=3"], capsys
+        )
+        assert code == 2
+        assert "cascade filter needs A_N > 0" in err
 
 
 class TestHomCommand:
