@@ -12,6 +12,13 @@ coherence -sqrt(A_N B_N); its concurrence is sqrt(A_N B_N) / (2^N P_N).
 The final joint filtration attenuates V on both modes by sqrt(eps) and the
 H component on the majority side by sqrt(min(A,B)/max(A,B)), giving
 concurrence 2 B_N / (2 B_N + eps C_N) when B_N <= A_N.
+
+These closed forms, and the filter factor :func:`cascade_filter` takes from
+them, are the p = 1 (fully indistinguishable) ones.  :func:`simulate_cascade`
+at p < 1 still filters with the p = 1 factor, and ``entconc cascade``'s
+``C_filt_eps_*`` and ``P_III_eps_*`` columns are :func:`filtered_concurrence`
+and :func:`filtered_success_prob` of these coefficients whatever ``p`` is;
+only ``C_sim`` depends on ``p``.
 """
 
 from __future__ import annotations

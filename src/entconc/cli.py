@@ -195,6 +195,8 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
         header += [f"C_filt_eps_{e:g}", f"P_III_eps_{e:g}"]
     # Simulate to n_max once and read each prefix from its measured_N step;
     # A_N only shrinks with N, so the one filtration fails iff a prefix's would.
+    # Only C_sim sees p: C_closed, P_N and the C_filt_eps_*/P_III_eps_* columns
+    # are the p = 1 closed forms of the cascade module, whatever p is.
     steps = simulate_cascade(CascadeParams(tuple(t_all[:n_max]), eps=1.0), p=p).steps
     measured = {s.name: s.state for s in steps}
     rows = []

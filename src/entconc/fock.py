@@ -123,8 +123,8 @@ def oracle_couple(
     from .channel import PostSelectedState  # local import, avoids a cycle
 
     env_tag = "e" if distinguishable else "s"
-    sig_w, sig_v = herm_eigen(signal.mat)
-    env_w, env_v = herm_eigen(env.mat)
+    sig_w, sig_v = herm_eigen(signal)
+    env_w, env_v = herm_eigen(env)
     total = np.zeros((8, 8), dtype=complex)
     for i, ws in enumerate(sig_w):
         if ws <= 1e-14:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .qmath import DensityMatrix, herm_eigen, kron, psd_sqrt
+from .qmath import DensityMatrix, kron, psd_sqrt
 from .states import SIGMA_Y
 
 
@@ -33,13 +33,13 @@ def concurrence(rho: DensityMatrix) -> ConcurrenceReport:
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"concurrence: need two qubits, got dims {rho.dims}")
-    root = psd_sqrt(rho.mat)
+    root = psd_sqrt(rho)
     m = root @ _YY @ root.T
-    lam = np.linalg.svd(m, compute_uv=False)
-    lam = np.sort(lam)[::-1]
+    # Singular values come back in descending order.
+    lam = np.linalg.svd(m, compute_uv=False).tolist()
     value = lam[0] - lam[1] - lam[2] - lam[3]
     value = min(max(value, 0.0), 1.0)
-    return ConcurrenceReport(float(value), tuple(float(x) for x in lam))
+    return ConcurrenceReport(value, tuple(lam))
 
 
 def concurrence_x_form(rho: DensityMatrix) -> float:
@@ -57,7 +57,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
     if rho.dim != sigma.dim:
         raise DimensionError(f"fidelity: dims {rho.dim} vs {sigma.dim}")
-    root = psd_sqrt(rho.mat)
+    root = psd_sqrt(rho)
     inner = root @ sigma.mat @ root
     # inner is PSD up to roundoff; clamp its spectrum.
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)

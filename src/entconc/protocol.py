@@ -119,8 +119,13 @@ def measure_env(state: PostSelectedState, result: str) -> PostSelectedState:
 
 
 def outcome_probabilities(state: PostSelectedState) -> tuple[float, float]:
-    e_marginal = state.rho.ptrace((2,)).mat
-    return float(e_marginal[0, 0].real), float(e_marginal[1, 1].real)
+    """(P(H), P(V)) of the environment qubit: the sums of the even and odd
+    diagonal entries of the (A, B, E) state, added in the order the partial
+    trace over B, then A, would add them."""
+    if state.rho.dims != (2, 2, 2):
+        raise DimensionError(f"outcome_probabilities: dims {state.rho.dims}, expected 3 qubits")
+    d = state.rho.mat.diagonal().real
+    return float((d[0] + d[2]) + (d[4] + d[6])), float((d[1] + d[3]) + (d[5] + d[7]))
 
 
 def apply_filter(state: DensityMatrix, spec: FilterSpec) -> PostSelectedState:

@@ -1,12 +1,24 @@
 """Dense complex linear-algebra kernel for few-qubit density matrices.
 
 Everything here works on plain ``numpy`` arrays; :class:`DensityMatrix` is a
-thin validated carrier that remembers the subsystem split.  All matrices in
-this package are 2x2 up to 8x8, so nothing is optimized for size.
+validated carrier that remembers the subsystem split.  All matrices in this
+package are 2x2 up to 8x8, so the cost of a state is numpy call overhead,
+not arithmetic, and each state does its work once:
+
+- validate on construction: every :class:`DensityMatrix` checks dimension,
+  trace, Hermiticity and positivity when it is built, and never again;
+- decompose once: the positivity check runs one ``eigh`` and the state keeps
+  its descending ``(w, V)`` as ``eig``.  :func:`herm_eigen` and
+  :func:`psd_sqrt` given a :class:`DensityMatrix` reuse it, so a state is
+  never diagonalized twice;
+- ``mat`` is an owned, read-only copy of the input, so the kept
+  decomposition cannot go stale.  Derive a new matrix and construct a new
+  :class:`DensityMatrix` instead of writing into ``mat``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +44,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(f"kron: first factor not square, shape {a.shape}")
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionError(f"kron: second factor not square, shape {b.shape}")
-    return np.kron(a, b)
+    # The broadcast product np.kron builds, without its generic axis handling.
+    d = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
@@ -44,7 +58,7 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...])
     """
     rho = np.asarray(rho, dtype=complex)
     n = len(dims)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if rho.shape != (d, d):
         raise DimensionError(f"partial_trace: shape {rho.shape} vs dims {dims}")
     keep = tuple(sorted(set(keep)))
@@ -55,26 +69,43 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...])
     # Trace the dropped subsystems one at a time, highest axis first.
     for i in sorted(traced, reverse=True):
         tensor = np.trace(tensor, axis1=i, axis2=i + tensor.ndim // 2)
-    dk = int(np.prod([dims[i] for i in keep]))
+    dk = math.prod(dims[i] for i in keep)
     return tensor.reshape(dk, dk)
 
 
-def herm_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+def _is_hermitian(m: np.ndarray) -> bool:
+    """``np.allclose(m, m^H, atol=ATOL)``, written out: every entry has
+    |m - m^H| <= ATOL + 1e-5 |m^H| with m^H finite, or equals its mirror."""
+    mh = m.conj().T
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(m - mh) <= ATOL + 1e-5 * np.abs(mh)) & np.isfinite(mh) | (m == mh)
+    return bool(close.all())
 
-    Returns ``(w, V)`` with columns of ``V`` the eigenvectors, so that
-    ``V @ diag(w) @ V.conj().T`` reconstructs ``m``.
-    """
-    m = np.asarray(m, dtype=complex)
-    if not np.allclose(m, m.conj().T, atol=ATOL):
-        raise NotHermitianError(f"herm_eigen: deviation {np.abs(m - m.conj().T).max():.3e}")
+
+def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(m)
     order = np.argsort(w)[::-1]
     return w[order].real, v[:, order]
 
 
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix.
+def herm_eigen(m: np.ndarray | DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+
+    Returns ``(w, V)`` with columns of ``V`` the eigenvectors, so that
+    ``V @ diag(w) @ V.conj().T`` reconstructs ``m``.  A
+    :class:`DensityMatrix` returns the decomposition it was validated with.
+    """
+    if isinstance(m, DensityMatrix):
+        return m.eig
+    m = np.asarray(m, dtype=complex)
+    if not _is_hermitian(m):
+        raise NotHermitianError(f"herm_eigen: deviation {np.abs(m - m.conj().T).max():.3e}")
+    return _eigh_descending(m)
+
+
+def psd_sqrt(m: np.ndarray | DensityMatrix) -> np.ndarray:
+    """Hermitian square root of a PSD matrix (or of a :class:`DensityMatrix`,
+    from its kept decomposition).
 
     Eigenvalues in [-ATOL, 0) are clamped to zero; anything more negative is
     rejected.
@@ -88,26 +119,35 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix over a list of qubit/qudit subsystems."""
+    """Validated density matrix over a list of qubit/qudit subsystems.
+
+    ``mat`` is a read-only copy of the input; ``eig`` is its descending
+    eigendecomposition ``(w, V)``, computed once by validation.
+    """
 
     mat: np.ndarray
     dims: tuple[int, ...] = field(default=(2, 2))
+    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
+        mat = np.array(self.mat, dtype=complex)
+        mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        d = int(np.prod(self.dims))
+        d = math.prod(self.dims)
         if mat.shape != (d, d):
             raise DimensionError(f"DensityMatrix: shape {mat.shape} vs dims {self.dims}")
-        tr = np.trace(mat)
+        tr = mat.trace()
         if abs(tr - 1.0) > ATOL:
             raise InvariantViolation(f"DensityMatrix: trace {tr:.12f} != 1")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL):
+        if not _is_hermitian(mat):
             raise NotHermitianError("DensityMatrix: not Hermitian")
-        w = np.linalg.eigvalsh(mat)
+        w, v = _eigh_descending(mat)
         if w.min() < -ATOL:
             raise NotPSDError(f"DensityMatrix: eigenvalue {w.min():.3e}")
+        w.flags.writeable = False
+        v.flags.writeable = False
+        object.__setattr__(self, "eig", (w, v))
 
     @property
     def dim(self) -> int:
@@ -119,7 +159,7 @@ class DensityMatrix:
         return DensityMatrix(out, tuple(self.dims[i] for i in keep))
 
     def eigenvalues(self) -> np.ndarray:
-        w, _ = herm_eigen(self.mat)
+        w, _ = herm_eigen(self)
         return w
 
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import entconc
-from entconc.cascade import CascadeParams, simulate_cascade
+from entconc.cascade import (
+    CascadeParams,
+    coefficients,
+    filtered_concurrence,
+    filtered_success_prob,
+    simulate_cascade,
+)
 from entconc.cli import main
 from entconc.metrics import concurrence
 from entconc.protocol import raw_attenuations, run_protocol
@@ -195,6 +201,24 @@ class TestCascadeCommand:
         for n, row in enumerate(rows, start=1):
             tr = simulate_cascade(CascadeParams(tuple(ts[:n]), eps=1.0), p=p)
             assert row["C_sim"] == pytest.approx(concurrence(tr.steps[-2].state).value, abs=1e-12)
+
+    def test_filter_columns_are_p1_closed_forms(self, tmp_path, capsys):
+        # Only C_sim sees p: the filter columns stay the p = 1 closed forms.
+        t, eps, p = 0.4, (0.25, 0.05), 0.85
+        out = tmp_path / "casc.json"
+        code, _, _ = _run(
+            [
+                "cascade", "--out", str(out), "--format", "json", "--set", f"t={t}",
+                "--set", "n_max=5", "--set", "eps_list=0.25,0.05", "--set", f"p={p}",
+            ],
+            capsys,
+        )
+        assert code == 0
+        for n, row in enumerate(json.loads(out.read_text()), start=1):
+            co = coefficients(CascadeParams((t,) * n))
+            for e in eps:
+                assert row[f"C_filt_eps_{e:g}"] == filtered_concurrence(co, e)
+                assert row[f"P_III_eps_{e:g}"] == filtered_success_prob(co, e)
 
     def test_zero_transmittivity_in_prefix_exits_2(self, capsys):
         # A_N = 0 from N = 2 on: the single final filtration must still fail.

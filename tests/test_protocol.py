@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entconc.channel import (
     CouplingParams,
     IndistinguishabilityModel,
+    PostSelectedState,
     couple,
     couple_mixed_indistinguishability,
 )
-from entconc.errors import DegenerateCouplingError, EntconcError
+from entconc.errors import DegenerateCouplingError, DimensionError, EntconcError
 from entconc.metrics import concurrence, fidelity
 from entconc.protocol import (
     FilterSpec,
@@ -27,6 +30,7 @@ from entconc.protocol import (
     sigma2_closed_form,
     sigma3_closed_form,
 )
+from entconc.qmath import DensityMatrix, random_psd
 from entconc.states import is_x_form, mixed_env, singlet_standard
 
 
@@ -60,6 +64,19 @@ class TestMeasureEnv:
             ps = couple(singlet_standard(), mixed_env(), CouplingParams(T))
             ph, pv = outcome_probabilities(ps)
             assert ph + pv == pytest.approx(1.0, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_outcome_probabilities_are_environment_marginal(self, seed):
+        rho = DensityMatrix(random_psd(8, np.random.default_rng(seed)), (2, 2, 2))
+        ph, pv = outcome_probabilities(PostSelectedState(rho, 1.0))
+        marginal = rho.ptrace((2,)).mat
+        assert abs(ph - marginal[0, 0].real) <= 1e-15
+        assert abs(pv - marginal[1, 1].real) <= 1e-15
+
+    def test_outcome_probabilities_need_three_qubits(self):
+        with pytest.raises(DimensionError):
+            outcome_probabilities(PostSelectedState(singlet_standard(), 1.0))
 
 
 class TestFeedForward:
