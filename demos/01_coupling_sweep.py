@@ -14,7 +14,7 @@ Run:  python3 demos/01_coupling_sweep.py
 import numpy as np
 
 from entconc.channel import CouplingParams, couple
-from entconc.metrics import concurrence
+from entconc.metrics import pair_concurrences
 from entconc.states import classify_werner, mixed_env, singlet_standard
 
 ts = np.linspace(0.0, 1.0, 21)
@@ -23,9 +23,7 @@ sig, env = singlet_standard(), mixed_env()
 print(f"{'T':>5} {'C_AB':>8} {'C_AE':>8} {'C_BE':>8} {'P_sel':>8}")
 for t in ts:
     ps = couple(sig, env, CouplingParams(float(t)))
-    c_ab = concurrence(ps.rho.ptrace((0, 1))).value
-    c_ae = concurrence(ps.rho.ptrace((0, 2))).value
-    c_be = concurrence(ps.rho.ptrace((1, 2))).value
+    c_ab, c_ae, c_be = pair_concurrences(ps.rho)
     print(f"{t:5.2f} {c_ab:8.4f} {c_ae:8.4f} {c_be:8.4f} {ps.success_prob:8.4f}")
 
 print()

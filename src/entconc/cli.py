@@ -28,7 +28,7 @@ from .cascade import (
 from .channel import CouplingParams, IndistinguishabilityModel, couple_mixed_indistinguishability
 from .errors import ConfigError, EntconcError, InvariantViolation
 from .fock import estimate_overlap, hom_coincidence_prob, hom_scan
-from .metrics import concurrence, fidelity
+from .metrics import concurrence, fidelity, pair_concurrences
 from .protocol import (
     filtration,
     raw_attenuations,
@@ -105,9 +105,7 @@ def cmd_sweep_coupling(cfg: dict, out, fmt: str) -> list[str]:
         ps = couple_mixed_indistinguishability(
             sig, env, CouplingParams(float(t)), IndistinguishabilityModel(float(cfg.get("p", 1.0)))
         )
-        c_ab = concurrence(ps.rho.ptrace((0, 1))).value
-        c_ae = concurrence(ps.rho.ptrace((0, 2))).value
-        c_be = concurrence(ps.rho.ptrace((1, 2))).value
+        c_ab, c_ae, c_be = pair_concurrences(ps.rho)
         rows.append([float(t), c_ab, c_ae, c_be, ps.success_prob])
     write_table(["T", "C_AB", "C_AE", "C_BE", "P_success"], rows, out, fmt)
     arr = np.array(rows)

@@ -14,6 +14,13 @@ not arithmetic, and each state does its work once:
 - ``mat`` is an owned, read-only copy of the input, so the kept
   decomposition cannot go stale.  Derive a new matrix and construct a new
   :class:`DensityMatrix` instead of writing into ``mat``.
+
+Stack contract: the checks exist once, in :func:`_validate`, which takes a
+``(k, d, d)`` stack and runs each check once over the whole stack.
+A single state is its k = 1 case (``DensityMatrix.__post_init__``).  A stack
+that fails is checked again one state at a time, so it raises exactly the
+error, type and message, that its first bad state raises on its own.
+:func:`psd_sqrt` takes such a stack's ``(w, V)`` as well.
 """
 
 from __future__ import annotations
@@ -74,18 +81,13 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...])
 
 
 def _is_hermitian(m: np.ndarray) -> bool:
-    """``np.allclose(m, m^H, atol=ATOL)``, written out: every entry has
-    |m - m^H| <= ATOL + 1e-5 |m^H| with m^H finite, or equals its mirror."""
-    mh = m.conj().T
-    with np.errstate(invalid="ignore"):
-        close = (np.abs(m - mh) <= ATOL + 1e-5 * np.abs(mh)) & np.isfinite(mh) | (m == mh)
-    return bool(close.all())
-
-
-def _eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(m)
-    order = np.argsort(w)[::-1]
-    return w[order].real, v[:, order]
+    """Hermiticity of a matrix or of every matrix in a stack: all entries
+    finite, and |m - m^H| <= ATOL + 1e-5 |m^H| entrywise.  On finite input
+    this is exactly ``np.allclose(m, m^H, atol=ATOL)``'s accept set."""
+    if not np.isfinite(m).all():
+        return False
+    mh = m.conj().swapaxes(-1, -2)
+    return bool((np.abs(m - mh) <= ATOL + 1e-5 * np.abs(mh)).all())
 
 
 def herm_eigen(m: np.ndarray | DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -99,52 +101,85 @@ def herm_eigen(m: np.ndarray | DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
         return m.eig
     m = np.asarray(m, dtype=complex)
     if not _is_hermitian(m):
-        raise NotHermitianError(f"herm_eigen: deviation {np.abs(m - m.conj().T).max():.3e}")
-    return _eigh_descending(m)
+        with np.errstate(invalid="ignore"):
+            dev = np.abs(m - m.conj().T).max()
+        raise NotHermitianError(f"herm_eigen: deviation {dev:.3e}")
+    # eigh sorts ascending, so descending order is its reversal.
+    w, v = np.linalg.eigh(m)
+    return w[::-1], v[:, ::-1]
 
 
-def psd_sqrt(m: np.ndarray | DensityMatrix) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (or of a :class:`DensityMatrix`,
-    from its kept decomposition).
+def psd_sqrt(m: np.ndarray | DensityMatrix | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Hermitian square root of a PSD matrix, of a :class:`DensityMatrix`
+    (from its kept decomposition), or of a stack given as the descending
+    ``(w, V)`` that :func:`_validate` returns.
 
     Eigenvalues in [-ATOL, 0) are clamped to zero; anything more negative is
     rejected.
     """
-    w, v = herm_eigen(m)
+    w, v = m if isinstance(m, tuple) else herm_eigen(m)
     if w.min() < -ATOL:
         raise NotPSDError(f"psd_sqrt: eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    w = np.maximum(w, 0.0)
+    return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-@dataclass(frozen=True)
+def _validate(mats: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Check a ``(k, d, d)`` stack of density matrices over subsystems
+    ``dims`` and return its descending eigendecomposition ``(w, V)``, of
+    shapes ``(k, d)`` and ``(k, d, d)``.
+
+    Each check (dimension, trace, Hermiticity, positivity) runs once over the
+    whole stack, not once per state.  If the stack fails, its states are
+    checked one at a time, so the first bad state raises what its own
+    constructor raises.
+    """
+    d = math.prod(dims)
+    if mats.shape[1:] != (d, d):
+        # Every state in the stack has this shape.
+        raise DimensionError(f"DensityMatrix: shape {mats.shape[1:]} vs dims {dims}")
+    tr = mats.trace(axis1=1, axis2=2)
+    # A NaN trace passes here, as in a scalar compare; the Hermiticity
+    # test rejects it.
+    trace_ok = not abs(tr - 1.0).max() > ATOL
+    hermitian = trace_ok and _is_hermitian(mats)
+    if hermitian:
+        # eigh sorts ascending, so descending order is its reversal.
+        w, v = np.linalg.eigh(mats)
+        w, v = w[:, ::-1], v[:, :, ::-1]
+        if not w[:, -1].min() < -ATOL:
+            return w, v
+    if len(mats) > 1:
+        for m in mats:
+            _validate(m[None], dims)
+    if not trace_ok:
+        raise InvariantViolation(f"DensityMatrix: trace {tr[0]:.12f} != 1")
+    if not hermitian:
+        raise NotHermitianError("DensityMatrix: not Hermitian")
+    raise NotPSDError(f"DensityMatrix: eigenvalue {w[0, -1]:.3e}")
+
+
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix over a list of qubit/qudit subsystems.
 
     ``mat`` is a read-only copy of the input; ``eig`` is its descending
-    eigendecomposition ``(w, V)``, computed once by validation.
+    eigendecomposition ``(w, V)``, computed once by validation.  Equality
+    and hashing are by identity: two states compare equal only if they are
+    the same object, so states can be used in sets and as dict keys.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...] = field(default=(2, 2))
-    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        d = math.prod(self.dims)
-        if mat.shape != (d, d):
-            raise DimensionError(f"DensityMatrix: shape {mat.shape} vs dims {self.dims}")
-        tr = mat.trace()
-        if abs(tr - 1.0) > ATOL:
-            raise InvariantViolation(f"DensityMatrix: trace {tr:.12f} != 1")
-        if not _is_hermitian(mat):
-            raise NotHermitianError("DensityMatrix: not Hermitian")
-        w, v = _eigh_descending(mat)
-        if w.min() < -ATOL:
-            raise NotPSDError(f"DensityMatrix: eigenvalue {w.min():.3e}")
+        w, v = _validate(mat[None], self.dims)
+        w, v = w[0], v[0]
         w.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "eig", (w, v))

@@ -4,11 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entconc.errors import DimensionError, InvariantViolation, NotHermitianError, NotPSDError
-from entconc.metrics import _YY, concurrence, fidelity
+from entconc.metrics import _YY, concurrence, fidelity, pair_concurrences
 from entconc.qmath import (
     ATOL,
     DensityMatrix,
     _is_hermitian,
+    _validate,
     herm_eigen,
     kron,
     partial_trace,
@@ -17,7 +18,12 @@ from entconc.qmath import (
     random_unitary,
 )
 from entconc.states import SIGMA_X, SIGMA_Y, mixed_env, singlet
-from entconc.channel import CouplingParams, couple
+from entconc.channel import (
+    CouplingParams,
+    IndistinguishabilityModel,
+    couple,
+    couple_mixed_indistinguishability,
+)
 from entconc.states import singlet_standard, werner
 
 I2 = np.eye(2, dtype=complex)
@@ -238,14 +244,35 @@ _DIMS = st.sampled_from([1, 2, 4, 8])
 _SEEDS = st.integers(0, 2**32 - 1)
 
 
+_NON_FINITE = st.sampled_from(
+    [None, np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 1.0)]
+)
+
+
 class TestHermitianCheck:
     @settings(max_examples=200, deadline=None)
-    @given(seed=_SEEDS, dim=_DIMS, scale=st.sampled_from([1e-12, 1e-9, 1e-6, 1.0, 1e6]))
-    def test_matches_allclose_on_random_matrices(self, seed, dim, scale):
+    @given(
+        seed=_SEEDS,
+        dim=_DIMS,
+        scale=st.sampled_from([1e-12, 1e-9, 1e-6, 1.0, 1e6]),
+        bad=_NON_FINITE,
+        mirrored=st.booleans(),
+    )
+    def test_matches_allclose_on_random_matrices(self, seed, dim, scale, bad, mirrored):
+        # Finite input: exactly np.allclose's accept set.  One non-finite
+        # entry (and its mirror, which np.allclose would take as close):
+        # rejected.
         rng = np.random.default_rng(seed)
         g = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         for m in (g, _hermitian(dim, rng) * scale + g * 1e-11):
-            assert _is_hermitian(m) == _allclose_hermitian(m)
+            if bad is None:
+                assert _is_hermitian(m) == _allclose_hermitian(m)
+            else:
+                i, j = rng.integers(dim, size=2)
+                m[i, j] = bad
+                if mirrored:
+                    m[j, i] = np.conj(bad)
+                assert _is_hermitian(m) is False
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -283,8 +310,12 @@ class TestHermitianCheck:
         ],
     )
     def test_non_finite_entries(self, entries):
+        # np.allclose accepts the first and last (equal infinities); the
+        # finiteness test rejects every one of them, with no numpy warning.
         m = np.array(entries, dtype=complex)
-        assert _is_hermitian(m) == _allclose_hermitian(m)
+        assert _is_hermitian(m) is False
+        with pytest.raises(NotHermitianError):
+            herm_eigen(m)
 
 
 _KINDS = st.sampled_from(["state", "scaled", "hermitian", "perturbed", "shape", "diag_edge"])
@@ -330,13 +361,16 @@ class TestValidationOutcomes:
             (np.diag([1.5, -0.5]), (2,), NotPSDError),
             (np.diag([1.0 + ATOL * 0.999, -ATOL * 0.999]), (2,), None),
             (np.diag([1.0 + ATOL * 1.001, -ATOL * 1.001]), (2,), NotPSDError),
-            # Accepted before too: np.allclose takes equal infinities as
-            # close, and eigvalsh then returns NaN, which no check catches.
-            (np.array([[0.5, np.inf], [np.inf, 0.5]]), (2,), None),
+            # Split row (reference, DensityMatrix): the reference accepts
+            # it, since np.allclose takes equal infinities as close and
+            # eigvalsh then returns NaN, which no later check catches.
+            # DensityMatrix rejects non-finite entries as not Hermitian.
+            (np.array([[0.5, np.inf], [np.inf, 0.5]]), (2,), (None, NotHermitianError)),
         ],
     )
     def test_explicit_examples(self, m, dims, error):
-        assert _outcome(_reference_validation, m, dims) is error
+        reference, error = error if isinstance(error, tuple) else (error, error)
+        assert _outcome(_reference_validation, m, dims) is reference
         assert _outcome(DensityMatrix, m, dims) is error
 
 
@@ -368,6 +402,17 @@ class TestKeptDecomposition:
             assert got.value == float(value)
             assert got.lambdas == tuple(float(x) for x in lam)
 
+    def test_reversal_is_the_old_argsort_order(self):
+        # Descending order is eigh's output reversed; on the degenerate
+        # spectra of the channel's marginals and Werner states that is the
+        # order argsort gave.
+        for rho in _states(np.random.default_rng(12)):
+            w, v = np.linalg.eigh(rho.mat)
+            order = np.argsort(w)[::-1]
+            assert np.array_equal(order, np.arange(len(w))[::-1])
+            w_kept, v_kept = rho.eig
+            assert np.array_equal(w_kept, w[order]) and np.array_equal(v_kept, v[:, order])
+
     def test_fidelity_bitwise_equal(self):
         states = _states(np.random.default_rng(9))
         for rho, sigma in zip(states, states[1:]):
@@ -393,3 +438,118 @@ class TestKeptDecomposition:
         before = rho.mat.copy()
         src[0, 0] += 1.0
         assert np.array_equal(rho.mat, before)
+
+
+class TestIdentitySemantics:
+    def test_equality_is_identity(self):
+        a, b = singlet_standard(), singlet_standard()
+        assert a == a and not (a != a)
+        assert not (a == b) and a != b
+
+    def test_hash_and_set_membership(self):
+        a, b = singlet_standard(), singlet_standard()
+        assert hash(a) == hash(a)
+        states = {a, b}
+        assert len(states) == 2 and a in states and b in states
+        assert werner(0.5) not in states
+        assert {a: 1}[a] == 1
+
+
+# --- stacked validation and batched concurrence ------------------------------
+
+_FAILURES = ("trace", "hermitian", "psd", "non_finite")
+
+
+def _bad_state(kind, dim, rng):
+    """A state that fails exactly one check: the named one."""
+    m = random_psd(dim, rng)
+    if kind == "trace":
+        return m * 1.5
+    if kind == "hermitian":
+        m[0, 1] += 2.0 * (ATOL + 1e-5 * abs(m[1, 0]))
+        return m
+    if kind == "psd":
+        w = np.full(dim, 1.0 / (dim - 1))
+        w[-1] = -rng.uniform(1e-3, 0.5)
+        w[0] -= w.sum() - 1.0
+        u = random_unitary(dim, rng)
+        return (u * w) @ u.conj().T
+    m[0, 1] = m[1, 0] = np.inf
+    return m
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestStackValidation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=_SEEDS,
+        dim=st.sampled_from([2, 4, 8]),
+        k=st.integers(1, 6),
+        failures=st.lists(st.sampled_from(_FAILURES), max_size=len(_FAILURES), unique=True),
+        data=st.data(),
+    )
+    def test_stack_matches_each_state_alone(self, seed, dim, k, failures, data):
+        rng = np.random.default_rng(seed)
+        dims = {2: (2,), 4: (2, 2), 8: (2, 2, 2)}[dim]
+        mats = [random_psd(dim, rng) for _ in range(k)]
+        for kind in failures:
+            at = data.draw(st.integers(0, len(mats)), label=kind)
+            mats.insert(at, _bad_state(kind, dim, rng))
+        stack = np.array(mats, dtype=complex)
+        if not failures:
+            w, v = _validate(stack, dims)
+            for i, m in enumerate(mats):
+                w_one, v_one = DensityMatrix(m, dims).eig
+                assert np.array_equal(w[i], w_one) and np.array_equal(v[i], v_one)
+            return
+        first = next(m for m in mats if _raised(DensityMatrix, m, dims) is not None)
+        want = _raised(DensityMatrix, first, dims)
+        assert want[0] is not None
+        assert _raised(_validate, stack, dims) == want
+
+    @pytest.mark.parametrize("kind", _FAILURES)
+    def test_each_failure_kind_raises_its_own_error(self, kind):
+        rng = np.random.default_rng(13)
+        m = _bad_state(kind, 4, rng)
+        want = {"trace": InvariantViolation, "hermitian": NotHermitianError,
+                "psd": NotPSDError, "non_finite": NotHermitianError}[kind]
+        assert _raised(DensityMatrix, m, (2, 2))[0] is want
+        stack = np.array([random_psd(4, rng), m, _bad_state("trace", 4, rng)])
+        assert _raised(_validate, stack, (2, 2)) == _raised(DensityMatrix, m, (2, 2))
+
+    def test_wrong_shape_stack(self):
+        stack = np.array([np.eye(4) / 4] * 3, dtype=complex)
+        assert _raised(_validate, stack, (2,)) == _raised(DensityMatrix, np.eye(4) / 4, (2,))
+
+
+def _three_qubit_states():
+    rng = np.random.default_rng(14)
+    out = [DensityMatrix(random_psd(8, rng), (2, 2, 2)) for _ in range(30)]
+    for T in (0.0, 0.5, 1.0, 1 / np.sqrt(3), 1 - 1 / np.sqrt(3)):
+        for p in (0.0, 0.85, 1.0):
+            ps = couple_mixed_indistinguishability(
+                singlet_standard(), mixed_env(), CouplingParams(T), IndistinguishabilityModel(p)
+            )
+            out.append(ps.rho)
+    return out
+
+
+class TestPairConcurrences:
+    def test_bitwise_equal_to_concurrence_of_each_marginal(self):
+        for rho in _three_qubit_states():
+            want = tuple(concurrence(rho.ptrace(keep)).value for keep in ((0, 1), (0, 2), (1, 2)))
+            got = pair_concurrences(rho)
+            assert all(type(x) is float for x in got)
+            assert got == want
+            assert [np.signbit(x) for x in got] == [np.signbit(x) for x in want]
+
+    def test_rejects_other_dims(self):
+        with pytest.raises(DimensionError):
+            pair_concurrences(singlet_standard())
