@@ -365,7 +365,13 @@ class TestValidationOutcomes:
             # it, since np.allclose takes equal infinities as close and
             # eigvalsh then returns NaN, which no later check catches.
             # DensityMatrix rejects non-finite entries as not Hermitian.
-            (np.array([[0.5, np.inf], [np.inf, 0.5]]), (2,), (None, NotHermitianError)),
+            # The id names the reference's outcome, as for the rows above.
+            pytest.param(
+                np.array([[0.5, np.inf], [np.inf, 0.5]]),
+                (2,),
+                (None, NotHermitianError),
+                id="m8-dims8-None",
+            ),
         ],
     )
     def test_explicit_examples(self, m, dims, error):
