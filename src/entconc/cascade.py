@@ -34,7 +34,7 @@ from .channel import (
     couple_mixed_indistinguishability,
 )
 from .errors import DegenerateCouplingError, EntconcError, ZeroProbabilityError
-from .protocol import FilterSpec, ProtocolTrace, apply_filter, measure_env, outcome_probabilities
+from .protocol import ProtocolTrace, apply_filter, measure_env, outcome_probabilities
 from .qmath import DensityMatrix
 from .states import mixed_env, singlet_standard
 
@@ -122,12 +122,13 @@ def filtered_success_prob(coeffs: CascadeCoefficients, eps: float) -> float:
 def cascade_filter(
     state: DensityMatrix, coeffs: CascadeCoefficients, eps: float
 ) -> PostSelectedState:
-    """Joint filtration after all couplings.
+    """Joint filtration after all couplings, as one local filter stage.
 
-    V is attenuated by sqrt(eps) on both modes; the H component of the side
-    holding the larger central population absorbs sqrt(min/max) so the
-    amplitude factor stays physical.  Which side absorbs it does not change
-    the resulting concurrence.
+    Both parties attenuate V by sqrt(eps); the side holding the larger
+    central population also attenuates H by sqrt(min/max), so every
+    amplitude factor stays in [0, 1]: Alice (sqrt(B/A), sqrt(eps)) with Bob
+    (1, sqrt(eps)) when B <= A, the mirror image otherwise.  Which side
+    absorbs the H factor does not change the resulting concurrence.
     """
     if not 0.0 < eps <= 1.0:
         raise EntconcError(f"epsilon {eps} outside (0, 1]")
@@ -135,16 +136,8 @@ def cascade_filter(
         raise DegenerateCouplingError("cascade filter needs A_N > 0")
     root = np.sqrt(eps)
     if coeffs.b <= coeffs.a:
-        h_factor = np.sqrt(coeffs.b / coeffs.a)
-        spec = FilterSpec(alice=("H", h_factor), bob=("V", root))
-        first = apply_filter(state, spec)
-        second = apply_filter(first.rho, FilterSpec(alice=("V", root)))
-    else:
-        h_factor = np.sqrt(coeffs.a / coeffs.b)
-        spec = FilterSpec(alice=("V", root), bob=("H", h_factor))
-        first = apply_filter(state, spec)
-        second = apply_filter(first.rho, FilterSpec(bob=("V", root)))
-    return PostSelectedState(second.rho, first.success_prob * second.success_prob)
+        return apply_filter(state, (np.sqrt(coeffs.b / coeffs.a), root), (1.0, root))
+    return apply_filter(state, (1.0, root), (np.sqrt(coeffs.a / coeffs.b), root))
 
 
 def simulate_cascade(params: CascadeParams, p: float = 1.0) -> ProtocolTrace:

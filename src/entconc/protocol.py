@@ -1,5 +1,12 @@
 """Measurement of the environment and local filtration for a single coupling.
 
+Both are diagonal maps in the H/V basis.  Measuring the environment E with
+result i (H -> 0, V -> 1) keeps the i block ``rho[:, i, :, i]`` of the
+(A, B, E) state reshaped to (4, 2, 4, 2).  A local filter gives each party
+an amplitude pair (h, v) in [0, 1], |H> -> h|H> and |V> -> v|V> (a partial
+polarizer); (1, 1) is no filter.  With k = kron(alice, bob) the filtered
+state is k_i rho_ij k_j, and :func:`apply_filter` is the one filter kernel.
+
 Closed forms implemented here (checked against the simulator):
 
     sigma_II  = {T^2, -T(T-R), (T-R)^2, R^2} / (4 P_II),
@@ -34,42 +41,20 @@ from .channel import (
     couple_mixed_indistinguishability,
 )
 from .errors import DegenerateCouplingError, DimensionError, EntconcError
-from .qmath import DensityMatrix, kron, normalize, partial_trace
-from .states import KET_H, KET_V, mixed_env, singlet_standard
+from .qmath import DensityMatrix, kron, normalize
+from .states import SIGMA_X, mixed_env, singlet_standard
+
+# A party's filter: amplitude factors (h, v) on |H> and |V>.
+Amplitudes = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Per-party polarization attenuations, as (axis, amplitude factor)."""
-
-    alice: tuple[str, float] | None = None
-    bob: tuple[str, float] | None = None
-
-    def __post_init__(self):
-        for party in (self.alice, self.bob):
-            if party is None:
-                continue
-            axis, factor = party
-            if axis not in ("H", "V"):
-                raise EntconcError(f"filter axis {axis!r} not in {{H, V}}")
-            if not 0.0 <= factor <= 1.0:
-                raise EntconcError(f"filter factor {factor} outside [0, 1]")
-
-    def kraus(self) -> np.ndarray:
-        def local(party):
-            k = np.eye(2, dtype=complex)
-            if party is not None:
-                axis, factor = party
-                k[0 if axis == "H" else 1, 0 if axis == "H" else 1] = factor
-            return k
-
-        return kron(local(self.alice), local(self.bob))
-
-
-def raw_attenuations(a_alice: float, a_bob: float) -> FilterSpec:
-    """V-polarization attenuations given as intensity factors A_i
+def raw_attenuations(a_alice: float, a_bob: float) -> tuple[Amplitudes, Amplitudes]:
+    """(Alice, Bob) filters that attenuate V by intensity factors A_i
     (|V> -> sqrt(A_i) |V>)."""
-    return FilterSpec(alice=("V", np.sqrt(a_alice)), bob=("V", np.sqrt(a_bob)))
+    for a in (a_alice, a_bob):
+        if not 0.0 <= a <= 1.0:
+            raise EntconcError(f"filter intensity {a} outside [0, 1]")
+    return (1.0, np.sqrt(a_alice)), (1.0, np.sqrt(a_bob))
 
 
 @dataclass
@@ -82,7 +67,6 @@ class ProtocolStep:
 @dataclass
 class ProtocolTrace:
     steps: list[ProtocolStep] = field(default_factory=list)
-    feed_forward_applied: bool = False
 
     def record(self, name: str, state: DensityMatrix, prob: float):
         self.steps.append(ProtocolStep(name, state, prob))
@@ -99,9 +83,6 @@ class ProtocolTrace:
         return self.steps[-1].state
 
 
-_PROJ = {"H": np.outer(KET_H, KET_H.conj()), "V": np.outer(KET_V, KET_V.conj())}
-
-
 def measure_env(state: PostSelectedState, result: str) -> PostSelectedState:
     """Project the environment qubit onto |H> or |V>, trace it out.
 
@@ -111,10 +92,10 @@ def measure_env(state: PostSelectedState, result: str) -> PostSelectedState:
     """
     if state.rho.dims != (2, 2, 2):
         raise DimensionError(f"measure_env: dims {state.rho.dims}, expected 3 qubits")
-    proj = kron(np.eye(4, dtype=complex), _PROJ[result])
-    unnorm = proj @ state.rho.mat @ proj
-    reduced = partial_trace(unnorm, (2, 2, 2), (0, 1))
-    rho, prob = normalize(reduced, (2, 2))
+    i = {"H": 0, "V": 1}[result]
+    # The + 0.0 turns -0.0 into +0.0, the sign the projector product gives.
+    block = state.rho.mat.reshape(4, 2, 4, 2)[:, i, :, i] + 0.0
+    rho, prob = normalize(block, (2, 2))
     return PostSelectedState(rho, state.success_prob * prob)
 
 
@@ -128,15 +109,21 @@ def outcome_probabilities(state: PostSelectedState) -> tuple[float, float]:
     return float((d[0] + d[2]) + (d[4] + d[6])), float((d[1] + d[3]) + (d[5] + d[7]))
 
 
-def apply_filter(state: DensityMatrix, spec: FilterSpec) -> PostSelectedState:
-    """Local attenuation on a two-qubit state; trace-decreasing, probabilistic."""
-    k = spec.kraus()
-    unnorm = k @ state.mat @ k.conj().T
+def apply_filter(
+    state: DensityMatrix, alice: Amplitudes = (1.0, 1.0), bob: Amplitudes = (1.0, 1.0)
+) -> PostSelectedState:
+    """Local attenuation on a two-qubit state; trace-decreasing, probabilistic.
+
+    ``alice`` and ``bob`` are amplitude pairs ``(h, v)`` in [0, 1]."""
+    for factor in (*alice, *bob):
+        if not 0.0 <= factor <= 1.0:
+            raise EntconcError(f"filter factor {factor} outside [0, 1]")
+    k = np.multiply.outer(alice, bob).ravel()
+    # k_i rho_ij k_j is K rho K^dag for the diagonal K = diag(k); the + 0.0
+    # gives each zero entry the sign the matrix product gives it.
+    unnorm = (k[:, None] * state.mat) * k + 0.0
     rho, prob = normalize(unnorm, (2, 2))
     return PostSelectedState(rho, prob)
-
-
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def feed_forward(v_branch: DensityMatrix) -> tuple[DensityMatrix, np.ndarray]:
@@ -154,25 +141,24 @@ def feed_forward(v_branch: DensityMatrix) -> tuple[DensityMatrix, np.ndarray]:
     For other inputs the correction is still applied but carries no such
     guarantee.
     """
-    u = kron(_PAULI_X, _PAULI_X)
+    u = kron(SIGMA_X, SIGMA_X)
     return DensityMatrix(u @ v_branch.mat @ u.conj().T, (2, 2)), u
 
 
-def rebalance_branch(T: float) -> tuple[str, str, float]:
-    """(party, axis, factor) of the population-balancing filter at this T."""
+def rebalance_branch(T: float) -> Amplitudes:
+    """Alice's population-balancing filter (h, v) at this T; Bob is not
+    filtered."""
     if abs(T - 0.5) < 1e-12:
         raise DegenerateCouplingError("rebalance filter degenerates at T = 1/2")
     d = abs(2.0 * T - 1.0)
     if T > d:
-        return "alice", "H", d / T
-    return "alice", "V", T / d
+        return d / T, 1.0
+    return 1.0, T / d
 
 
-def rebalance_filter(state: DensityMatrix, params: CouplingParams) -> PostSelectedState:
+def rebalance_filter(state: DensityMatrix, T: float) -> PostSelectedState:
     """Balance the central populations of a sigma_II-form state."""
-    party, axis, factor = rebalance_branch(params.T)
-    assert party == "alice"
-    return apply_filter(state, FilterSpec(alice=(axis, factor)))
+    return apply_filter(state, alice=rebalance_branch(T))
 
 
 def epsilon_filter(state: DensityMatrix, eps: float) -> PostSelectedState:
@@ -180,7 +166,7 @@ def epsilon_filter(state: DensityMatrix, eps: float) -> PostSelectedState:
     if not 0.0 < eps <= 1.0:
         raise EntconcError(f"epsilon {eps} outside (0, 1]")
     root = np.sqrt(eps)
-    return apply_filter(state, FilterSpec(alice=("V", root), bob=("V", root)))
+    return apply_filter(state, (1.0, root), (1.0, root))
 
 
 # --- closed forms -----------------------------------------------------------
@@ -249,10 +235,9 @@ def run_protocol(
     eps: float | None = None,
     p: float = 1.0,
     feed_forward_enabled: bool = False,
-    raw_filters: FilterSpec | None = None,
-    input_state: DensityMatrix | None = None,
+    raw_filters: tuple[Amplitudes, Amplitudes] | None = None,
 ) -> ProtocolTrace:
-    """Chain coupling, environment measurement and filtration.
+    """Chain coupling, environment measurement and filtration of the singlet.
 
     The filtered chain follows the H measurement branch.  With feed-forward
     enabled the V branch is corrected and kept for probability accounting;
@@ -261,9 +246,8 @@ def run_protocol(
     """
     if eps is not None and raw_filters is not None:
         raise EntconcError("run_protocol: give either eps or raw_filters, not both")
-    if input_state is None:
-        input_state = singlet_standard()
-    trace = ProtocolTrace(feed_forward_applied=feed_forward_enabled)
+    input_state = singlet_standard()
+    trace = ProtocolTrace()
     trace.record("input", input_state, 1.0)
 
     coupled = couple_mixed_indistinguishability(
@@ -286,16 +270,20 @@ def run_protocol(
 
 
 def filtration(
-    measured: DensityMatrix, T: float, eps: float | None = None, raw_filters: FilterSpec | None = None
+    measured: DensityMatrix,
+    T: float,
+    eps: float | None = None,
+    raw_filters: tuple[Amplitudes, Amplitudes] | None = None,
 ) -> list[ProtocolStep]:
-    """Filter stages on the measured H branch at coupling T: ``raw_filters``
-    alone, else the rebalance filter then the eps filter, else none."""
+    """Filter stages on the measured H branch at coupling T: the (Alice,
+    Bob) ``raw_filters`` alone, else the rebalance filter then the eps
+    filter, else none."""
     if raw_filters is not None:
-        filtered = apply_filter(measured, raw_filters)
+        filtered = apply_filter(measured, *raw_filters)
         return [ProtocolStep("filtered_raw", filtered.rho, filtered.success_prob)]
     if eps is None:
         return []
-    rebalanced = rebalance_filter(measured, CouplingParams(T))
+    rebalanced = rebalance_filter(measured, T)
     filtered = epsilon_filter(rebalanced.rho, eps)
     return [
         ProtocolStep("rebalanced", rebalanced.rho, rebalanced.success_prob),

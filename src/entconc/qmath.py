@@ -84,8 +84,11 @@ def _is_hermitian(m: np.ndarray) -> bool:
     """Hermiticity of a matrix or of every matrix in a stack: all entries
     finite, and |m - m^H| <= ATOL + 1e-5 |m^H| entrywise.  On finite input
     this is exactly ``np.allclose(m, m^H, atol=ATOL)``'s accept set."""
-    if not np.isfinite(m).all():
-        return False
+    return bool(np.isfinite(m).all()) and _is_close_to_adjoint(m)
+
+
+def _is_close_to_adjoint(m: np.ndarray) -> bool:
+    """The entrywise test of :func:`_is_hermitian`, for finite ``m``."""
     mh = m.conj().swapaxes(-1, -2)
     return bool((np.abs(m - mh) <= ATOL + 1e-5 * np.abs(mh)).all())
 
@@ -138,11 +141,18 @@ def _validate(mats: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.n
     if mats.shape[1:] != (d, d):
         # Every state in the stack has this shape.
         raise DimensionError(f"DensityMatrix: shape {mats.shape[1:]} vs dims {dims}")
-    tr = mats.trace(axis1=1, axis2=2)
+    finite = bool(np.isfinite(mats).all())
+    if finite:
+        tr = mats.trace(axis1=1, axis2=2)
+    else:
+        # +inf and -inf on a diagonal sum to NaN; numpy's warning about it
+        # is noise, since the Hermiticity test rejects non-finite input.
+        with np.errstate(invalid="ignore"):
+            tr = mats.trace(axis1=1, axis2=2)
     # A NaN trace passes here, as in a scalar compare; the Hermiticity
     # test rejects it.
     trace_ok = not abs(tr - 1.0).max() > ATOL
-    hermitian = trace_ok and _is_hermitian(mats)
+    hermitian = trace_ok and finite and _is_close_to_adjoint(mats)
     if hermitian:
         # eigh sorts ascending, so descending order is its reversal.
         w, v = np.linalg.eigh(mats)

@@ -13,7 +13,7 @@ from entconc.cascade import (
 )
 from entconc.errors import DegenerateCouplingError, EntconcError
 from entconc.metrics import concurrence
-from entconc.protocol import p2_closed_form, sigma2_closed_form
+from entconc.protocol import apply_filter, p2_closed_form, sigma2_closed_form
 
 
 def _cumulative(trace):
@@ -88,6 +88,26 @@ class TestClosedFormAgainstSimulation:
         assert abs(
             concurrence(trace.final_state).value - filtered_concurrence(coeffs, 0.3)
         ) < 1e-10
+
+    @pytest.mark.parametrize("ts", [(0.7, 0.6), (0.1,), (0.4, 0.3, 0.8)])
+    @pytest.mark.parametrize("p", [1.0, 0.85])
+    def test_one_stage_equals_two_stages(self, ts, p):
+        # The joint filter as one stage equals the H-factor stage followed
+        # by the remaining V stage on the majority side.
+        params = CascadeParams(ts, eps=0.3)
+        coeffs = coefficients(params)
+        state = simulate_cascade(params, p=p).steps[-2].state
+        root = np.sqrt(0.3)
+        if coeffs.b <= coeffs.a:
+            first = apply_filter(state, (np.sqrt(coeffs.b / coeffs.a), 1.0), (1.0, root))
+            second = apply_filter(first.rho, (1.0, root))
+        else:
+            first = apply_filter(state, (1.0, root), (np.sqrt(coeffs.a / coeffs.b), 1.0))
+            second = apply_filter(first.rho, bob=(1.0, root))
+        out = cascade_filter(state, coeffs, 0.3)
+        assert np.abs(out.rho.mat - second.rho.mat).max() < 1e-14
+        want = first.success_prob * second.success_prob
+        assert out.success_prob == pytest.approx(want, rel=1e-13)
 
     def test_filter_side_irrelevant_to_concurrence(self):
         coeffs = coefficients(CascadeParams((0.7, 0.6)))

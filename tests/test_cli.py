@@ -109,6 +109,17 @@ class TestProtocolCommand:
         row = _read_csv(out)[0]
         assert float(row["C_raw_filter"]) == pytest.approx(0.4616, abs=1e-3)
 
+    @pytest.mark.parametrize("a_a", ["-0.1", "1.2"])
+    def test_raw_intensity_outside_unit_interval_exits_2(self, a_a, capsys):
+        # Rejected before the square root, so no numpy warning and no NaN.
+        code, out, err = _run(
+            ["protocol", "--set", "t_grid=0.3,0.7", "--set", f"a_a={a_a}", "--set", "a_b=0.3"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: filter intensity {a_a} outside [0, 1]\n"
+
     @pytest.mark.parametrize("feed", ["false", "true"])
     def test_filter_columns_match_separate_runs(self, tmp_path, feed, capsys):
         # The command couples and measures once per T and branches to every

@@ -44,6 +44,23 @@ class TestBeamSplitterUnitary:
     def test_distinguishable_coincidence(self):
         assert fock.hom_coincidence_prob(0.5, identical=False) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("identical", [True, False])
+    def test_coincidence_closed_form_matches_fock_space(self, identical):
+        # hom_coincidence_prob is the closed form; the Fock simulator must
+        # give the same coincidence probability.
+        tag = "s" if identical else "e"
+        state = {fock.occ_key([("B", 0, "s"), ("E", 0, tag)]): 1.0}
+        for T in np.linspace(0.0, 1.0, 101):
+            out = fock.bs_unitary_apply(state, float(T))
+            fock_space = sum(
+                abs(a) ** 2 for k, a in out.items() if fock._one_per_spatial_mode(k)
+            )
+            assert abs(fock.hom_coincidence_prob(float(T), identical) - fock_space) <= 1e-15
+
+    def test_coincidence_rejects_bad_transmittivity(self):
+        with pytest.raises(fock.EntconcError):
+            fock.hom_coincidence_prob(1.5, identical=True)
+
     def test_two_photon_rule_coefficients(self):
         # One photon per port, same polarization and tag: the
         # one-per-output amplitude is T - R.

@@ -13,7 +13,6 @@ from entconc.channel import (
 from entconc.errors import DegenerateCouplingError, DimensionError, EntconcError
 from entconc.metrics import concurrence, fidelity
 from entconc.protocol import (
-    FilterSpec,
     apply_filter,
     c2_closed_form,
     c3_closed_form,
@@ -30,8 +29,8 @@ from entconc.protocol import (
     sigma2_closed_form,
     sigma3_closed_form,
 )
-from entconc.qmath import DensityMatrix, random_psd
-from entconc.states import is_x_form, mixed_env, singlet_standard
+from entconc.qmath import DensityMatrix, kron, normalize, partial_trace, random_psd
+from entconc.states import KET_H, KET_V, is_x_form, mixed_env, singlet_standard
 
 
 def _post_measurement(T, result="H"):
@@ -119,18 +118,15 @@ class TestFeedForward:
 
 class TestRebalanceFilter:
     def test_branch_t04(self):
-        party, axis, factor = rebalance_branch(0.4)
-        assert (party, axis) == ("alice", "H")
-        assert factor == pytest.approx(0.5, abs=1e-12)
+        h, v = rebalance_branch(0.4)
+        assert h == pytest.approx(0.5, abs=1e-12)
+        assert v == 1.0
 
     def test_branch_t025(self):
-        party, axis, factor = rebalance_branch(0.25)
-        assert (party, axis) == ("alice", "V")
-        assert factor == pytest.approx(0.5, abs=1e-12)
+        assert rebalance_branch(0.25) == (1.0, 0.5)
 
     def test_transparent_noop(self):
-        _, _, factor = rebalance_branch(1.0)
-        assert factor == pytest.approx(1.0, abs=1e-12)
+        assert rebalance_branch(1.0) == (1.0, 1.0)
 
     def test_degenerate_at_half(self):
         with pytest.raises(DegenerateCouplingError):
@@ -138,7 +134,7 @@ class TestRebalanceFilter:
 
     @pytest.mark.parametrize("T", [0.1, 0.25, 0.4, 0.7, 0.95])
     def test_balances_central_populations(self, T):
-        out = rebalance_filter(sigma2_closed_form(T), CouplingParams(T))
+        out = rebalance_filter(sigma2_closed_form(T), T)
         m = out.rho.mat
         assert abs(m[1, 1] - m[2, 2]) < 1e-10
 
@@ -147,7 +143,7 @@ class TestEpsilonFilter:
     @pytest.mark.parametrize("T", [0.1, 0.25, 0.4, 0.7, 0.95])
     @pytest.mark.parametrize("eps", [0.05, 0.25, 1.0])
     def test_sigma3_closed_form(self, T, eps):
-        rebalanced = rebalance_filter(sigma2_closed_form(T), CouplingParams(T))
+        rebalanced = rebalance_filter(sigma2_closed_form(T), T)
         out = epsilon_filter(rebalanced.rho, eps)
         assert np.abs(out.rho.mat - sigma3_closed_form(T, eps).mat).max() < 1e-10
         assert concurrence(out.rho).value == pytest.approx(c3_closed_form(T, eps), abs=1e-10)
@@ -157,7 +153,7 @@ class TestEpsilonFilter:
             assert c3_closed_form(T, 1e-9) > 1 - 1e-6
 
     def test_identity_at_transparent(self):
-        rebalanced = rebalance_filter(sigma2_closed_form(1.0), CouplingParams(1.0))
+        rebalanced = rebalance_filter(sigma2_closed_form(1.0), 1.0)
         out = epsilon_filter(rebalanced.rho, 1.0)
         assert np.abs(out.rho.mat - singlet_standard().mat).max() < 1e-12
 
@@ -176,23 +172,117 @@ class TestEpsilonFilter:
         assert abs(out.mat[0, 0]) < 1e-12
 
 
+def _with_signed_zeros(m, rng):
+    """A state with +0.0 and -0.0 planted in ``m``: D m D for a random
+    diagonal D over {0, -0, 1, -1} (not all zero), after an optional
+    projection onto the real part.  Both steps keep m PSD."""
+    if rng.random() < 0.5:
+        m = m.real.astype(complex)
+    d = rng.choice([0.0, -0.0, 1.0, -1.0], size=len(m))
+    d[rng.integers(len(m))] = rng.choice([1.0, -1.0])
+    m = d[:, None] * m * d
+    return m / np.trace(m).real
+
+
+def _bitwise_equal(a, b):
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def _kraus_filter(rho, alice, bob):
+    """Reference: the filter as the matrix product K rho K^dag with the
+    complex diagonal K = diag(alice) x diag(bob)."""
+    k = kron(np.diag(np.array(alice, dtype=complex)), np.diag(np.array(bob, dtype=complex)))
+    return k @ rho @ k.conj().T
+
+
+def _projector_measurement(rho, result):
+    """Reference: project E onto |result>, then trace E out."""
+    ket = {"H": KET_H, "V": KET_V}[result]
+    proj = kron(np.eye(4, dtype=complex), np.outer(ket, ket.conj()))
+    return partial_trace(proj @ rho @ proj, (2, 2, 2), (0, 1))
+
+
+def _outcome(fn):
+    """(state matrix, weight) of a filter or measurement, or the type of
+    the error it raised."""
+    try:
+        out = fn()
+    except EntconcError as exc:
+        return type(exc)
+    rho, weight = (out.rho, out.success_prob) if isinstance(out, PostSelectedState) else out
+    return rho.mat, weight
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    assert got[1] == want[1]
+    assert _bitwise_equal(got[0], want[0])
+
+
+_AMPLITUDE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestDiagonalKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alice=st.tuples(_AMPLITUDE, _AMPLITUDE),
+        bob=st.tuples(_AMPLITUDE, _AMPLITUDE),
+    )
+    def test_filter_is_bitwise_the_matrix_product(self, seed, alice, bob):
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(_with_signed_zeros(random_psd(4, rng), rng), (2, 2))
+        got = _outcome(lambda: apply_filter(rho, alice, bob))
+        want = _outcome(lambda: normalize(_kraus_filter(rho.mat, alice, bob), (2, 2)))
+        _assert_same_outcome(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), result=st.sampled_from(["H", "V"]))
+    def test_measurement_is_bitwise_projector_and_partial_trace(self, seed, result):
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(_with_signed_zeros(random_psd(8, rng), rng), (2, 2, 2))
+        got = _outcome(lambda: measure_env(PostSelectedState(rho, 1.0), result))
+        want = _outcome(lambda: normalize(_projector_measurement(rho.mat, result), (2, 2)))
+        _assert_same_outcome(got, want)
+
+
 class TestFilters:
     def test_never_increase_trace(self):
         rng = np.random.default_rng(40)
-        from entconc.qmath import DensityMatrix, random_psd
-
         for _ in range(10):
             rho = DensityMatrix(random_psd(4, rng), (2, 2))
-            spec = FilterSpec(
-                alice=("H", float(rng.uniform(0, 1))), bob=("V", float(rng.uniform(0, 1)))
-            )
-            assert apply_filter(rho, spec).success_prob <= 1.0 + 1e-12
+            alice = (float(rng.uniform(0, 1)), 1.0)
+            bob = (1.0, float(rng.uniform(0, 1)))
+            assert apply_filter(rho, alice, bob).success_prob <= 1.0 + 1e-12
+
+    def test_no_filter_is_identity(self):
+        rho = DensityMatrix(random_psd(4, np.random.default_rng(43)), (2, 2))
+        out = apply_filter(rho)
+        assert np.array_equal(out.rho.mat, rho.mat / np.trace(rho.mat).real)
 
     def test_rejects_bad_factor(self):
-        with pytest.raises(EntconcError):
-            FilterSpec(alice=("H", 1.5))
-        with pytest.raises(EntconcError):
-            FilterSpec(bob=("D", 0.5))
+        bad = [((1.5, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, -0.1)), ((np.nan, 1.0), (1.0, 1.0))]
+        for alice, bob in bad:
+            with pytest.raises(EntconcError, match="filter factor .* outside \\[0, 1\\]"):
+                apply_filter(singlet_standard(), alice, bob)
+
+    def test_raw_attenuations_are_v_amplitudes(self):
+        assert raw_attenuations(0.25, 1.0) == ((1.0, 0.5), (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "a_alice, a_bob", [(-0.1, 0.3), (1.2, 0.3), (0.3, -1e-300), (0.3, np.nan)]
+    )
+    def test_raw_attenuations_reject_bad_intensity(self, a_alice, a_bob):
+        # Rejected before the square root: no numpy warning, no NaN factor.
+        with pytest.raises(EntconcError, match="filter intensity .* outside \\[0, 1\\]"):
+            raw_attenuations(a_alice, a_bob)
 
     def test_filtering_never_exceeds_unit_concurrence(self):
         rng = np.random.default_rng(41)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -372,12 +374,26 @@ class TestValidationOutcomes:
                 (None, NotHermitianError),
                 id="m8-dims8-None",
             ),
+            # +inf and -inf on the diagonal sum to a NaN trace.  The
+            # reference's np.trace warns; DensityMatrix rejects the matrix
+            # as not Hermitian, with no warning.
+            pytest.param(
+                np.array([[np.inf, 0.0], [0.0, -np.inf]]),
+                (2,),
+                (RuntimeWarning, NotHermitianError),
+                id="inf_minus_inf_diagonal",
+            ),
+            # A bad trace still wins over a non-finite off-diagonal entry.
+            (np.array([[2.0, np.nan], [np.nan, 0.0]]), (2,), InvariantViolation),
         ],
     )
     def test_explicit_examples(self, m, dims, error):
         reference, error = error if isinstance(error, tuple) else (error, error)
-        assert _outcome(_reference_validation, m, dims) is reference
-        assert _outcome(DensityMatrix, m, dims) is error
+        # A numpy warning is raised, so it shows as the outcome.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _outcome(_reference_validation, m, dims) is reference
+            assert _outcome(DensityMatrix, m, dims) is error
 
 
 def _states(rng):

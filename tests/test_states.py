@@ -3,7 +3,7 @@ import pytest
 
 from entconc.channel import CouplingParams, couple
 from entconc.metrics import concurrence, purity
-from entconc.protocol import FilterSpec, apply_filter
+from entconc.protocol import apply_filter
 from entconc.qmath import DensityMatrix, kron
 from entconc.states import (
     classify_werner,
@@ -35,8 +35,7 @@ class TestSinglet:
         assert np.abs(rotated - singlet_standard().mat).max() < 1e-12
 
     def test_identity_filter_leaves_singlet_fixed(self):
-        spec = FilterSpec(alice=("V", 1.0), bob=("V", 1.0))
-        out = apply_filter(singlet(), spec)
+        out = apply_filter(singlet(), (1.0, 1.0), (1.0, 1.0))
         assert np.abs(out.rho.mat - singlet().mat).max() < 1e-12
         assert abs(out.success_prob - 1.0) < 1e-12
 
