@@ -41,6 +41,7 @@ from .errors import (
 # Invariant checks use ATOL, reconstruction checks use RTOL (both absolute).
 ATOL = 1e-10
 RTOL = 1e-9
+_TINY = float(np.finfo(float).tiny)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,7 +218,9 @@ def normalize(unnorm: np.ndarray, dims: tuple[int, ...]) -> tuple[DensityMatrix,
     # Relative cutoff: a PSD operator with any appreciable entry has a trace
     # of the same order, so only a genuinely vanishing operator is rejected.
     scale = float(np.abs(unnorm).max())
-    if scale == 0.0 or weight <= ATOL * scale:
+    # Complex division by w multiplies by 1/w, which overflows for a
+    # subnormal w: such a weight is zero measure too.
+    if weight < _TINY or weight <= ATOL * scale:
         raise ZeroProbabilityError("normalize: zero-measure operator")
     return DensityMatrix(unnorm / weight, dims), weight
 

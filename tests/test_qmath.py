@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entconc.errors import DimensionError, InvariantViolation, NotHermitianError, NotPSDError
+from entconc.errors import (
+    DimensionError,
+    InvariantViolation,
+    NotHermitianError,
+    NotPSDError,
+    ZeroProbabilityError,
+)
 from entconc.metrics import _YY, concurrence, fidelity, pair_concurrences
 from entconc.qmath import (
     ATOL,
@@ -14,6 +20,7 @@ from entconc.qmath import (
     _validate,
     herm_eigen,
     kron,
+    normalize,
     partial_trace,
     psd_sqrt,
     random_psd,
@@ -205,6 +212,22 @@ class TestDensityMatrix:
         rho = DensityMatrix(random_psd(4, rng), (2, 2))
         u = kron(random_unitary(2, rng), random_unitary(2, rng))
         DensityMatrix(u @ rho.mat @ u.conj().T, (2, 2))
+
+
+class TestNormalize:
+    def test_subnormal_weight_is_zero_measure(self):
+        # 1/w overflows for a subnormal w; no RuntimeWarning may escape.
+        block = np.zeros((4, 4), dtype=complex)
+        block[3, 3] = 2.7e-309
+        with pytest.raises(ZeroProbabilityError):
+            normalize(block, (2, 2))
+
+    def test_smallest_normal_weight_normalizes(self):
+        block = np.zeros((4, 4), dtype=complex)
+        block[3, 3] = np.finfo(float).tiny
+        rho, weight = normalize(block, (2, 2))
+        assert weight == np.finfo(float).tiny
+        assert rho.mat[3, 3] == 1.0
 
 
 # --- validation against a reference implementation --------------------------
