@@ -36,7 +36,7 @@ from .channel import (
 from .errors import DegenerateCouplingError, EntconcError, ZeroProbabilityError
 from .protocol import ProtocolTrace, apply_filter, measure_env, outcome_probabilities
 from .qmath import DensityMatrix
-from .states import mixed_env, singlet_standard
+from .states import MIXED_ENV, SINGLET_STANDARD
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,10 @@ def simulate_cascade(params: CascadeParams, p: float = 1.0) -> ProtocolTrace:
     measurement of the fresh environment, then one joint filtration."""
     model = IndistinguishabilityModel(p)
     trace = ProtocolTrace()
-    state = singlet_standard()
+    state = SINGLET_STANDARD
     trace.record("input", state, 1.0)
     for i, t in enumerate(params.transmittivities):
-        coupled = couple_mixed_indistinguishability(state, mixed_env(), CouplingParams(t), model)
+        coupled = couple_mixed_indistinguishability(state, MIXED_ENV, CouplingParams(t), model)
         trace.record(f"coupled_{i + 1}", coupled.rho, coupled.success_prob)
         prob_h, _ = outcome_probabilities(coupled)
         measured = measure_env(coupled, "H")

@@ -5,6 +5,12 @@ its parameters from an optional INI-style config file (one section per
 command) with CLI flags taking precedence.  Output is plot-ready tabular
 data; identical config + seed gives byte-identical files.
 
+Batch rule: ``protocol`` and ``cascade`` put each state whose concurrence
+is a table cell into the row itself, and :func:`_fill_concurrences` turns
+all of them into numbers with one :func:`entconc.metrics.concurrences` call
+per table.  Each state is built once: ``protocol`` couples and measures once
+per T, and its eps columns branch from one rebalanced state.
+
 Exit codes: 0 success, 2 config error, 3 numeric contract violation.
 """
 
@@ -28,14 +34,17 @@ from .cascade import (
 from .channel import CouplingParams, IndistinguishabilityModel, couple_mixed_indistinguishability
 from .errors import ConfigError, EntconcError, InvariantViolation
 from .fock import estimate_overlap, hom_coincidence_prob, hom_scan
-from .metrics import concurrence, fidelity, pair_concurrences
+from .metrics import concurrences, fidelity, pair_concurrences
 from .protocol import (
-    filtration,
+    apply_filter,
+    epsilon_filter,
     raw_attenuations,
+    rebalance_filter,
     run_protocol,
     sigma2_closed_form,
     sigma3_closed_form,
 )
+from .qmath import DensityMatrix
 from .states import mixed_env, singlet_standard
 from .tomography import default_settings, reconstruct, simulate_counts
 
@@ -122,40 +131,50 @@ def cmd_sweep_coupling(cfg: dict, out, fmt: str) -> list[str]:
     return notes
 
 
+def _fill_concurrences(rows: list[list]) -> list[list]:
+    """The table with each :class:`DensityMatrix` cell replaced by its
+    concurrence, all of them computed in one :func:`concurrences` batch."""
+    values = iter(concurrences([x for row in rows for x in row if isinstance(x, DensityMatrix)]))
+    return [
+        [next(values).value if isinstance(x, DensityMatrix) else x for x in row] for row in rows
+    ]
+
+
 def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
     ts = _grid(cfg)
     eps_list = [float(x) for x in str(cfg.get("eps_list", "0.25,0.05")).split(",") if x.strip()]
     p = float(cfg.get("p", 1.0))
     feed = str(cfg.get("feed_forward", "false")).lower() in ("1", "true", "yes")
+    dump = str(cfg.get("dump_trace", "false")).lower() in ("1", "true", "yes")
     a_a = cfg.get("a_a")
     a_b = cfg.get("a_b")
+    if (a_a is None) != (a_b is None):
+        raise ConfigError("a_a and a_b must be given together")
+    raw = None if a_a is None else raw_attenuations(float(a_a), float(a_b))
     header = ["T", "C_no_meas", "C_post_meas", "P_post_meas"]
     header += [f"C_eps_{e:g}" for e in eps_list]
-    if a_a is not None and a_b is not None:
+    if raw is not None:
         header.append("C_raw_filter")
     rows = []
     traces = []
-    for t in ts:
-        # Couple and measure once; each filter column branches from here.
-        tr = run_protocol(float(t), p=p, feed_forward_enabled=feed)
-        coupled = tr.steps[1].state
+    for t in map(float, ts):
+        # Couple and measure once; each filter column branches from here,
+        # and every eps column from one rebalanced state.
+        tr = run_protocol(t, p=p, feed_forward_enabled=feed)
         measured = tr.final_state
-        c_no = concurrence(coupled.ptrace((0, 1))).value
-        c_post = concurrence(measured).value
-        row = [float(t), c_no, c_post, tr.cumulative_prob]
-        for e in eps_list:
-            if abs(t - 0.5) < 1e-12:
-                row.append(0.0)
-            else:
-                row.append(concurrence(filtration(measured, float(t), eps=e)[-1].state).value)
-        if a_a is not None and a_b is not None:
-            raw = raw_attenuations(float(a_a), float(a_b))
-            row.append(concurrence(filtration(measured, float(t), raw_filters=raw)[-1].state).value)
+        row = [t, tr.steps[1].state.ptrace((0, 1)), measured, tr.cumulative_prob]
+        if abs(t - 0.5) < 1e-12:
+            row += [0.0] * len(eps_list)
+        elif eps_list:
+            rebalanced = rebalance_filter(measured, t).rho
+            row += [epsilon_filter(rebalanced, e).rho for e in eps_list]
+        if raw is not None:
+            row.append(apply_filter(measured, *raw).rho)
         rows.append(row)
-        if str(cfg.get("dump_trace", "false")).lower() in ("1", "true", "yes"):
+        if dump:
             traces.append(
                 {
-                    "T": float(t),
+                    "T": t,
                     "steps": [
                         {"name": s.name, "prob": s.step_prob, "state": [
                             [f"{z.real:.12g}{z.imag:+.12g}j" for z in rrow] for rrow in s.state.mat
@@ -164,7 +183,7 @@ def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
                     ],
                 }
             )
-    write_table(header, rows, out, fmt)
+    write_table(header, _fill_concurrences(rows), out, fmt)
     notes = []
     if p < 1.0:
         notes.append("reference (experiment, not simulated): " + json.dumps(REFERENCE_EXPERIMENT))
@@ -200,12 +219,11 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
     rows = []
     for n in range(1, n_max + 1):
         co = coefficients(CascadeParams(tuple(t_all[:n])))
-        c_sim = concurrence(measured[f"measured_{n}"]).value
-        row = [n, closed_form_concurrence(co), c_sim, co.p_success]
+        row = [n, closed_form_concurrence(co), measured[f"measured_{n}"], co.p_success]
         for e in eps_list:
             row += [filtered_concurrence(co, e), filtered_success_prob(co, e)]
         rows.append(row)
-    write_table(header, rows, out, fmt)
+    write_table(header, _fill_concurrences(rows), out, fmt)
     return []
 
 

@@ -1,7 +1,15 @@
-"""Entanglement and distance measures: concurrence, fidelity, purity."""
+"""Entanglement and distance measures: concurrence, fidelity, purity.
+
+Batch rule: concurrence is one kernel, :func:`_wootters`, over a stack of
+two-qubit states.  A caller that needs many concurrences (a whole CLI
+table) collects its states and makes one :func:`concurrences` call;
+:func:`concurrence` is its k = 1 case.  Each report is bitwise the one the
+state gets on its own.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +58,21 @@ def _wootters(w: np.ndarray, v: np.ndarray) -> list[ConcurrenceReport]:
     ]
 
 
+def concurrences(states: Sequence[DensityMatrix]) -> list[ConcurrenceReport]:
+    """Wootters concurrence of each two-qubit state, as one :func:`_wootters`
+    batch over the states' kept decompositions."""
+    for rho in states:
+        if rho.dims != (2, 2):
+            raise DimensionError(f"concurrence: need two qubits, got dims {rho.dims}")
+    if not states:
+        return []
+    w, v = zip(*(rho.eig for rho in states))
+    return _wootters(np.stack(w), np.stack(v))
+
+
 def concurrence(rho: DensityMatrix) -> ConcurrenceReport:
-    """Wootters concurrence of a two-qubit state: :func:`_wootters` with k = 1."""
-    if rho.dims != (2, 2):
-        raise DimensionError(f"concurrence: need two qubits, got dims {rho.dims}")
-    w, v = rho.eig
-    return _wootters(w[None], v[None])[0]
+    """Wootters concurrence of a two-qubit state: :func:`concurrences` with k = 1."""
+    return concurrences([rho])[0]
 
 
 def pair_concurrences(rho: DensityMatrix) -> tuple[float, float, float]:

@@ -42,7 +42,7 @@ from .channel import (
 )
 from .errors import DegenerateCouplingError, DimensionError, EntconcError
 from .qmath import DensityMatrix, kron, normalize
-from .states import SIGMA_X, mixed_env, singlet_standard
+from .states import MIXED_ENV, SIGMA_X, SINGLET_STANDARD
 
 # A party's filter: amplitude factors (h, v) on |H> and |V>.
 Amplitudes = tuple[float, float]
@@ -246,12 +246,11 @@ def run_protocol(
     """
     if eps is not None and raw_filters is not None:
         raise EntconcError("run_protocol: give either eps or raw_filters, not both")
-    input_state = singlet_standard()
     trace = ProtocolTrace()
-    trace.record("input", input_state, 1.0)
+    trace.record("input", SINGLET_STANDARD, 1.0)
 
     coupled = couple_mixed_indistinguishability(
-        input_state, mixed_env(), CouplingParams(T), IndistinguishabilityModel(p)
+        SINGLET_STANDARD, MIXED_ENV, CouplingParams(T), IndistinguishabilityModel(p)
     )
     trace.record("coupled", coupled.rho, coupled.success_prob)
 

@@ -142,18 +142,15 @@ def _validate(mats: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.n
     if mats.shape[1:] != (d, d):
         # Every state in the stack has this shape.
         raise DimensionError(f"DensityMatrix: shape {mats.shape[1:]} vs dims {dims}")
-    finite = bool(np.isfinite(mats).all())
-    if finite:
-        tr = mats.trace(axis1=1, axis2=2)
-    else:
-        # +inf and -inf on a diagonal sum to NaN; numpy's warning about it
-        # is noise, since the Hermiticity test rejects non-finite input.
-        with np.errstate(invalid="ignore"):
-            tr = mats.trace(axis1=1, axis2=2)
+    # Python sums and math.hypot raise no floating-point warning, so a
+    # trace that overflows (inf) or adds +inf and -inf (NaN) is rejected
+    # below with no numpy noise and no errstate guard.  Like a numpy
+    # reduction, the sum starts from +0j.
+    tr = [sum(diag, 0j) for diag in mats.diagonal(0, 1, 2).tolist()]
     # A NaN trace passes here, as in a scalar compare; the Hermiticity
     # test rejects it.
-    trace_ok = not abs(tr - 1.0).max() > ATOL
-    hermitian = trace_ok and finite and _is_close_to_adjoint(mats)
+    trace_ok = not any(math.hypot(t.real - 1.0, t.imag) > ATOL for t in tr)
+    hermitian = trace_ok and bool(np.isfinite(mats).all()) and _is_close_to_adjoint(mats)
     if hermitian:
         # eigh sorts ascending, so descending order is its reversal.
         w, v = np.linalg.eigh(mats)

@@ -63,6 +63,13 @@ def mixed_env() -> DensityMatrix:
     return DensityMatrix(np.eye(2, dtype=complex) / 2.0, (2,))
 
 
+# The protocol's and the cascade's constant inputs, built and validated once
+# per process.  A DensityMatrix is immutable, so every run shares them; the
+# functions above still return a fresh state on each call.
+SINGLET_STANDARD = singlet_standard()
+MIXED_ENV = mixed_env()
+
+
 def werner(q: float, singlet_mat: np.ndarray | None = None) -> DensityMatrix:
     """q * singlet projector + (1-q) * I/4 (uses the -i singlet by default)."""
     if singlet_mat is None:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import entconc
+from entconc import protocol
 from entconc.cascade import (
     CascadeParams,
     coefficients,
@@ -119,6 +120,29 @@ class TestProtocolCommand:
         assert code == 2
         assert out == ""
         assert err == f"config error: filter intensity {a_a} outside [0, 1]\n"
+
+    @pytest.mark.parametrize("setting", ["a_a=0.12", "a_b=0.3"])
+    def test_lone_raw_intensity_exits_2(self, setting, capsys):
+        code, out, err = _run(["protocol", "--set", "t_grid=0.3,0.7", "--set", setting], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "config error: a_a and a_b must be given together\n"
+
+    def test_one_rebalance_per_t(self, monkeypatch, capsys):
+        # Each eps column branches from the one rebalanced state of its T.
+        calls = []
+        apply_filter = protocol.apply_filter
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return apply_filter(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "apply_filter", counting)
+        ts, eps_list = ["0.2", "0.35", "0.7", "0.9"], ["0.4", "0.2", "0.07"]
+        argv = ["protocol", "--set", "t_grid=" + ",".join(ts)]
+        code, _, _ = _run(argv + ["--set", "eps_list=" + ",".join(eps_list)], capsys)
+        assert code == 0
+        assert len(calls) == len(ts) * (1 + len(eps_list))
 
     @pytest.mark.parametrize("feed", ["false", "true"])
     def test_filter_columns_match_separate_runs(self, tmp_path, feed, capsys):

@@ -1,9 +1,14 @@
 """CLI output against committed reference files.
 
-``tests/golden/cases.json`` lists the five criterion-9 configs and the five
-README examples; each case's data output is ``tests/golden/<name>.out`` and
-its printed notes are stored beside its argv.  The files were written by
+``tests/golden/cases.json`` lists the five criterion-9 configs, the five
+README examples and three ``table_*`` cases that fill whole ``protocol`` and
+``cascade`` tables (many T points and eps values, raw filters, feed-forward,
+a depth-24 cascade at p = 0.85); each case's data output is
+``tests/golden/<name>.out`` and its printed notes are stored beside its argv.
+The files were written by
 ``python -m entconc.cli <argv> --out tests/golden/<name>.out``.
+``tests/golden/protocol_trace.json`` is the ``dump_trace`` file of
+:data:`TRACE_ARGV`, written the same way with ``trace_out`` pointing at it.
 
 Cells are compared as numbers at a relative 1e-12, not as bytes: another
 LAPACK build may round the last digit differently.  A CSV cell is printed
@@ -65,3 +70,25 @@ def test_matches_golden(name, tmp_path, capsys):
     for row_got, row_want in zip(got[1:], want[1:]):
         for col, g, w in zip(want[0], row_got, row_want):
             assert _close(g, w, None if is_json else 12), f"{name}: {col} {g} vs {w}"
+
+
+TRACE_ARGV = [
+    "protocol", "--set", "t_grid=0.2,0.45,0.8", "--set", "p=0.85",
+    "--set", "feed_forward=true", "--set", "dump_trace=true",
+]
+
+
+def test_trace_dump_matches_golden(tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    assert main(TRACE_ARGV + ["--set", f"trace_out={path}", "--out", str(tmp_path / "t.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"trace dump written to {path}"
+    got = json.loads(path.read_text())
+    want = json.loads((GOLDEN / "protocol_trace.json").read_text())
+    assert [g["T"] for g in got] == [w["T"] for w in want]
+    for g, w in zip(got, want):
+        assert [s["name"] for s in g["steps"]] == [s["name"] for s in w["steps"]]
+        for gs, ws in zip(g["steps"], w["steps"]):
+            assert _close(gs["prob"], ws["prob"], None)
+            for grow, wrow in zip(gs["state"], ws["state"], strict=True):
+                for gz, wz in zip(map(complex, grow), map(complex, wrow), strict=True):
+                    assert _close(gz.real, wz.real, 12) and _close(gz.imag, wz.imag, 12)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entconc.cascade import CascadeParams, simulate_cascade
 from entconc.errors import DimensionError
-from entconc.metrics import concurrence, concurrence_x_form, fidelity, purity
+from entconc.metrics import concurrence, concurrence_x_form, concurrences, fidelity, purity
 from entconc.protocol import c2_closed_form, sigma2_closed_form, sigma3_closed_form
 from entconc.qmath import DensityMatrix, kron, random_psd, random_unitary
-from entconc.states import ket_density, singlet, singlet_standard, werner
+from entconc.states import ket_density, mixed_env, singlet, singlet_standard, werner
 
 
 def _brute_force_werner_concurrence(q):
@@ -69,6 +72,72 @@ class TestConcurrence:
         assert rep.lambdas[0] == pytest.approx(1.0, abs=1e-12)
         assert all(l < 1e-10 for l in rep.lambdas[1:])
         assert list(rep.lambdas) == sorted(rep.lambdas, reverse=True)
+
+
+def _two_qubit_state(kind, seed, x):
+    """A two-qubit state of the named kind; ``seed`` and ``x`` (in [0, 1])
+    pick the instance."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return DensityMatrix(random_psd(4, rng), (2, 2))
+    if kind == "rank_deficient":
+        g = rng.normal(size=(4, 1 + seed % 3)) + 1j * rng.normal(size=(4, 1 + seed % 3))
+        m = g @ g.conj().T
+        return DensityMatrix(m / np.trace(m).real, (2, 2))
+    if kind == "singlet":
+        return singlet() if seed % 2 else singlet_standard()
+    if kind == "product":
+        return DensityMatrix(kron(random_psd(2, rng), random_psd(2, rng)), (2, 2))
+    if kind == "werner":
+        return werner(x)
+    # A cascade measured_N state: N <= 6 couplings of random T at p = x.
+    ts = tuple(rng.uniform(0.05, 0.95, size=1 + seed % 6))
+    steps = simulate_cascade(CascadeParams(ts), p=x).steps
+    return steps[-2].state
+
+
+_STATE_KINDS = ["random", "rank_deficient", "singlet", "product", "werner", "cascade"]
+_STATES = st.builds(
+    _two_qubit_state,
+    st.sampled_from(_STATE_KINDS),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+)
+
+
+def _assert_bitwise_alone(states, reports):
+    assert len(reports) == len(states)
+    for rho, got in zip(states, reports):
+        want = concurrence(rho)
+        assert type(got.value) is float
+        assert np.array([got.value, *got.lambdas]).tobytes() == np.array(
+            [want.value, *want.lambdas]
+        ).tobytes()
+
+
+class TestConcurrences:
+    @settings(max_examples=200, deadline=None)
+    @given(states=st.lists(_STATES, max_size=8))
+    def test_each_report_is_bitwise_the_state_alone(self, states):
+        _assert_bitwise_alone(states, concurrences(states))
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_every_batch_size(self, k):
+        states = [
+            _two_qubit_state(_STATE_KINDS[i % len(_STATE_KINDS)], 100 + i, i / 8) for i in range(k)
+        ]
+        _assert_bitwise_alone(states, concurrences(states))
+
+    def test_empty(self):
+        assert concurrences([]) == []
+
+    def test_three_qubit_state_raises_as_concurrence_does(self):
+        three = singlet_standard().tensor(mixed_env())
+        with pytest.raises(DimensionError) as alone:
+            concurrence(three)
+        with pytest.raises(DimensionError) as batch:
+            concurrences([singlet(), three, werner(0.5)])
+        assert str(batch.value) == str(alone.value)
 
 
 class TestFidelity:

@@ -408,6 +408,15 @@ class TestValidationOutcomes:
             ),
             # A bad trace still wins over a non-finite off-diagonal entry.
             (np.array([[2.0, np.nan], [np.nan, 0.0]]), (2,), InvariantViolation),
+            # A finite diagonal whose sum overflows.  The reference's
+            # np.trace warns; DensityMatrix rejects the infinite trace, with
+            # no warning.
+            pytest.param(
+                np.diag([1e308, 1e308]),
+                (2,),
+                (RuntimeWarning, InvariantViolation),
+                id="overflowing_trace",
+            ),
         ],
     )
     def test_explicit_examples(self, m, dims, error):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from entconc.cascade import CascadeParams, simulate_cascade
 from entconc.channel import CouplingParams, couple
 from entconc.metrics import concurrence, purity
-from entconc.protocol import apply_filter
+from entconc.protocol import apply_filter, run_protocol
 from entconc.qmath import DensityMatrix, kron
 from entconc.states import (
+    MIXED_ENV,
+    SINGLET_STANDARD,
     classify_werner,
     is_x_form,
     mixed_env,
@@ -50,6 +53,24 @@ class TestMixedEnv:
     def test_product_of_mixed_is_unentangled(self):
         rho = mixed_env().tensor(mixed_env())
         assert concurrence(rho).value == 0.0
+
+
+class TestConstantInputs:
+    @pytest.mark.parametrize(
+        "constant, build", [(SINGLET_STANDARD, singlet_standard), (MIXED_ENV, mixed_env)]
+    )
+    def test_bitwise_the_fresh_state(self, constant, build):
+        fresh = build()
+        assert fresh is not constant and fresh is not build()
+        assert constant.dims == fresh.dims
+        for got, want in [(constant.mat, fresh.mat), *zip(constant.eig, fresh.eig)]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_protocol_and_cascade_start_from_the_constant(self):
+        assert run_protocol(0.4, eps=0.25, p=0.85).steps[0].state is SINGLET_STANDARD
+        steps = simulate_cascade(CascadeParams((0.4, 0.7)), p=0.85).steps
+        assert steps[0].state is SINGLET_STANDARD
 
 
 class TestClassifyWerner:
