@@ -26,16 +26,25 @@ the interfering block: one Kraus map on B x E, normalized once,
     rho -> p K rho K^dag + (1 - p) (T^2 rho + R^2 SWAP rho SWAP),
 
 so a branch that vanishes (HOM bunching) drops only its own weight.
+
+Stack contract: the map is one kernel, :func:`couple_grid`, over a vector of
+T (a sequence of :class:`CouplingParams`) at one p.  It builds the n
+operators as one ``(n, 8, 8)`` stack and normalizes them with
+:func:`entconc.qmath.normalize_stack`.  :func:`couple`,
+:func:`couple_distinguishable` and :func:`couple_mixed_indistinguishability`
+are its k = 1 case.  Each state and probability is bitwise the one its T
+gets alone, and a stack that fails raises what its first bad T raises alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, EntconcError
-from .qmath import DensityMatrix, kron, normalize
+from .qmath import DensityMatrix, kron, normalize_stack
 
 
 @dataclass(frozen=True)
@@ -70,22 +79,22 @@ class PostSelectedState:
     success_prob: float
 
 
-# SWAP on (B, E) of the (A, B, E) space: exchanges |HV> and |VH> of (B, E).
-_SWAP_ABE = kron(np.eye(2, dtype=complex), np.eye(4, dtype=complex)[[0, 2, 1, 3]])
-
-
-def coupling_block(params: CouplingParams) -> np.ndarray:
-    """The 4x4 post-selected amplitude map on the B x E polarization space."""
-    T, R = params.T, params.R
-    return np.array(
-        [
-            [T - R, 0, 0, 0],
-            [0, T, -R, 0],
-            [0, -R, T, 0],
-            [0, 0, 0, T - R],
-        ],
-        dtype=complex,
-    )
+# SWAP on (B, E) of the (A, B, E) space, which exchanges |HV> and |VH> of
+# (B, E), as the row and column permutation SWAP rho SWAP applies.
+_SWAP_ABE = np.ix_([0, 2, 1, 3, 4, 6, 5, 7], [0, 2, 1, 3, 4, 6, 5, 7])
+# kron(I, block) of the 4x4 post-selected amplitude map on B x E,
+#
+#     block = [[T - R, 0,  0,  0    ],
+#              [0,     T,  -R, 0    ],
+#              [0,     -R, T,  0    ],
+#              [0,     0,  0,  T - R]],
+#
+# as indices into the per-T list (T - R, T, -R, 0, 0 (T - R), 0 (-R)).  The
+# off-diagonal blocks hold 0 times each entry, zeros with the signs that
+# qmath.kron's products give them.
+_BLOCK = np.array([[0, 3, 3, 3], [3, 1, 2, 3], [3, 2, 1, 3], [3, 3, 3, 0]])
+_ZERO_BLOCK = np.array([4, 3, 5, 3])[_BLOCK]
+_OP_INDEX = np.block([[_BLOCK, _ZERO_BLOCK], [_ZERO_BLOCK, _BLOCK]])
 
 
 def couple(signal: DensityMatrix, env: DensityMatrix, params: CouplingParams) -> PostSelectedState:
@@ -112,21 +121,41 @@ def couple_mixed_indistinguishability(
     params: CouplingParams,
     model: IndistinguishabilityModel,
 ) -> PostSelectedState:
-    """Coupling at indistinguishability p: the single Kraus map of the module
-    docstring, normalized once, so success_prob = p * prob_coherent +
-    (1-p) * prob_distinguishable.  A branch of weight 0 is not computed: p = 1
-    is :func:`couple` and p = 0 is :func:`couple_distinguishable`."""
+    """Coupling at indistinguishability p: :func:`couple_grid` with one T.
+    p = 1 is :func:`couple` and p = 0 is :func:`couple_distinguishable`."""
+    return couple_grid(signal, env, (params,), model)[0]
+
+
+def couple_grid(
+    signal: DensityMatrix,
+    env: DensityMatrix,
+    params: Sequence[CouplingParams],
+    model: IndistinguishabilityModel,
+) -> list[PostSelectedState]:
+    """The Kraus map of the module docstring at each coupling in ``params``,
+    each operator normalized once, so success_prob = p * prob_coherent +
+    (1-p) * prob_distinguishable.  A branch of weight 0 is not computed.
+    The stack's working set grows with ``len(params)``: chunk long grids."""
     if signal.dims != (2, 2):
         raise DimensionError(f"couple: signal dims {signal.dims}, expected (2, 2)")
     if env.dims != (2,):
         raise DimensionError(f"couple: env dims {env.dims}, expected (2,)")
+    # Per coupling: the entries _OP_INDEX picks from, then T^2 and R^2 by
+    # Python's float power, which can differ from T * T in the last bit.
+    # numpy multiplies a complex array by a float as by the complex float,
+    # so storing the squares as complex changes no product.
+    entries = np.array(
+        [(c.T - c.R, c.T, -c.R, 0.0, 0.0 * (c.T - c.R), -0.0, c.T**2, c.R**2) for c in params],
+        dtype=complex,
+    ).reshape(-1, 8)
     joint = kron(signal.mat, env.mat)
     unnorm = 0.0
     if model.p > 0.0:
-        op = kron(np.eye(2, dtype=complex), coupling_block(params))
-        unnorm = model.p * (op @ joint @ op.conj().T)
+        op = entries[:, _OP_INDEX]
+        unnorm = model.p * (op @ joint @ op.conj().swapaxes(-1, -2))
     if model.p < 1.0:
-        swapped = _SWAP_ABE @ joint @ _SWAP_ABE
-        unnorm = unnorm + (1.0 - model.p) * (params.T**2 * joint + params.R**2 * swapped)
-    rho, prob = normalize(unnorm, (2, 2, 2))
-    return PostSelectedState(rho, prob)
+        swapped = joint[_SWAP_ABE]
+        t2, r2 = entries[:, 6, None, None], entries[:, 7, None, None]
+        unnorm = unnorm + (1.0 - model.p) * (t2 * joint + r2 * swapped)
+    states, probs = normalize_stack(unnorm, (2, 2, 2))
+    return [PostSelectedState(rho, prob) for rho, prob in zip(states, probs)]

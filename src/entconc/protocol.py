@@ -240,9 +240,11 @@ def run_protocol(
     """Chain coupling, environment measurement and filtration of the singlet.
 
     The filtered chain follows the H measurement branch.  With feed-forward
-    enabled the V branch is corrected and kept for probability accounting;
-    without it the branch is discarded and the cumulative probability is
-    halved.  The filter stages come from :func:`filtration`.
+    enabled the V branch, which :func:`feed_forward` maps exactly onto the H
+    branch, is kept: its weight adds to the measured step's probability,
+    and no V state is built.  Without it the branch is discarded and the
+    cumulative probability is halved.  The filter stages come from
+    :func:`filtration`.
     """
     if eps is not None and raw_filters is not None:
         raise EntconcError("run_protocol: give either eps or raw_filters, not both")
@@ -256,14 +258,9 @@ def run_protocol(
 
     prob_h, prob_v = outcome_probabilities(coupled)
     h_branch = measure_env(coupled, "H")
-    if feed_forward_enabled:
-        v_branch = measure_env(coupled, "V")
-        v_corrected, _ = feed_forward(v_branch.rho)
-        mixed = prob_h * h_branch.rho.mat + prob_v * v_corrected.mat
-        _, kept = normalize(mixed, (2, 2))
-        trace.record("measured", h_branch.rho, kept)
-    else:
-        trace.record("measured", h_branch.rho, prob_h)
+    # The correction is unitary and both branches have unit trace, so the
+    # kept mixture's weight is prob_h + prob_v.
+    trace.record("measured", h_branch.rho, prob_h + prob_v if feed_forward_enabled else prob_h)
     trace.steps += filtration(h_branch.rho, T, eps, raw_filters)
     return trace
 

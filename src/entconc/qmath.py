@@ -11,9 +11,10 @@ not arithmetic, and each state does its work once:
   its descending ``(w, V)`` as ``eig``.  :func:`herm_eigen` and
   :func:`psd_sqrt` given a :class:`DensityMatrix` reuse it, so a state is
   never diagonalized twice;
-- ``mat`` is an owned, read-only copy of the input, so the kept
-  decomposition cannot go stale.  Derive a new matrix and construct a new
-  :class:`DensityMatrix` instead of writing into ``mat``.
+- ``mat`` is a read-only copy of the input (a state built in a stack holds
+  its own slice of one new array), so the kept decomposition cannot go
+  stale.  Derive a new matrix and construct a new :class:`DensityMatrix`
+  instead of writing into ``mat``.
 
 Stack contract: the checks exist once, in :func:`_validate`, which takes a
 ``(k, d, d)`` stack and runs each check once over the whole stack.
@@ -21,6 +22,14 @@ A single state is its k = 1 case (``DensityMatrix.__post_init__``).  A stack
 that fails is checked again one state at a time, so it raises exactly the
 error, type and message, that its first bad state raises on its own.
 :func:`psd_sqrt` takes such a stack's ``(w, V)`` as well.
+
+States are built from stacks too.  :func:`normalize_stack` tests each of k
+unnormalized operators for zero measure and validates the k quotients with
+one :func:`_validate` call; each state keeps its slices of the quotient and
+of ``(w, V)``.  :func:`normalize` is its k = 1 case, and the constructor
+sets up its one state the same way (``_settle``), so every state is
+validated exactly once.  A failing stack raises what a loop over its
+operators raises at the first bad one.
 """
 
 from __future__ import annotations
@@ -81,11 +90,25 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...])
     return tensor.reshape(dk, dk)
 
 
+# Entries whose real and imaginary parts are at most this large cannot
+# overflow m - m^H: each difference has modulus under 2 sqrt(2) 2^1022.
+_SAFE = 2.0**1022
+
+
 def _is_hermitian(m: np.ndarray) -> bool:
     """Hermiticity of a matrix or of every matrix in a stack: all entries
     finite, and |m - m^H| <= ATOL + 1e-5 |m^H| entrywise.  On finite input
-    this is exactly ``np.allclose(m, m^H, atol=ATOL)``'s accept set."""
-    return bool(np.isfinite(m).all()) and _is_close_to_adjoint(m)
+    this is exactly ``np.allclose(m, m^H, atol=ATOL)``'s accept set.  No
+    input raises a floating-point warning."""
+    # The largest real or imaginary part; NaN or inf if an entry is not finite.
+    top = float(np.abs(np.ascontiguousarray(m, dtype=complex).view(float)).max(initial=0.0))
+    if top <= _SAFE:
+        return _is_close_to_adjoint(m)
+    if not math.isfinite(top):
+        return False
+    # m - m^H may overflow to inf here, which the test rejects.
+    with np.errstate(over="ignore"):
+        return _is_close_to_adjoint(m)
 
 
 def _is_close_to_adjoint(m: np.ndarray) -> bool:
@@ -105,7 +128,7 @@ def herm_eigen(m: np.ndarray | DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
         return m.eig
     m = np.asarray(m, dtype=complex)
     if not _is_hermitian(m):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             dev = np.abs(m - m.conj().T).max()
         raise NotHermitianError(f"herm_eigen: deviation {dev:.3e}")
     # eigh sorts ascending, so descending order is its reversal.
@@ -150,12 +173,14 @@ def _validate(mats: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.n
     # A NaN trace passes here, as in a scalar compare; the Hermiticity
     # test rejects it.
     trace_ok = not any(math.hypot(t.real - 1.0, t.imag) > ATOL for t in tr)
-    hermitian = trace_ok and bool(np.isfinite(mats).all()) and _is_close_to_adjoint(mats)
+    hermitian = trace_ok and _is_hermitian(mats)
     if hermitian:
         # eigh sorts ascending, so descending order is its reversal.
         w, v = np.linalg.eigh(mats)
         w, v = w[:, ::-1], v[:, :, ::-1]
-        if not w[:, -1].min() < -ATOL:
+        # Each least eigenvalue on its own: a NaN passes, as in a scalar
+        # compare, without hiding a negative one elsewhere in the stack.
+        if not any(x < -ATOL for x in w[:, -1].tolist()):
             return w, v
     if len(mats) > 1:
         for m in mats:
@@ -182,15 +207,7 @@ class DensityMatrix:
     eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex)
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        w, v = _validate(mat[None], self.dims)
-        w, v = w[0], v[0]
-        w.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "eig", (w, v))
+        _settle([self], np.array(self.mat, dtype=complex)[None], tuple(map(int, self.dims)))
 
     @property
     def dim(self) -> int:
@@ -209,17 +226,64 @@ class DensityMatrix:
         return DensityMatrix(kron(self.mat, other.mat), self.dims + other.dims)
 
 
-def normalize(unnorm: np.ndarray, dims: tuple[int, ...]) -> tuple[DensityMatrix, float]:
-    """Split an unnormalized positive operator into (state, weight)."""
-    weight = float(np.trace(unnorm).real)
+def _settle(states: list[DensityMatrix], mats: np.ndarray, dims: tuple[int, ...]):
+    """Validate the new ``(k, d, d)`` stack ``mats`` with one :func:`_validate`
+    call, and give state i its read-only fields: ``mats[i]``, ``dims`` and its
+    slice of the decomposition.  Every state, built alone or in a stack, is
+    validated here once."""
+    mats.flags.writeable = False
+    w, v = _validate(mats, dims)
+    w.flags.writeable = False
+    v.flags.writeable = False
+    for i, rho in enumerate(states):
+        object.__setattr__(rho, "mat", mats[i])
+        object.__setattr__(rho, "dims", dims)
+        object.__setattr__(rho, "eig", (w[i], v[i]))
+
+
+def normalize_stack(
+    unnorm: np.ndarray, dims: tuple[int, ...]
+) -> tuple[list[DensityMatrix], list[float]]:
+    """Split a ``(k, d, d)`` stack of unnormalized positive operators into
+    its k states and their weights (the traces), as k :func:`normalize`
+    calls would, with one validation for the stack.  A failing stack raises
+    (or warns) what that loop would at its first bad operator."""
+    if not len(unnorm):
+        return [], []
+    traces = unnorm.trace(0, -2, -1).real
+    weights = traces.tolist()
     # Relative cutoff: a PSD operator with any appreciable entry has a trace
     # of the same order, so only a genuinely vanishing operator is rejected.
-    scale = float(np.abs(unnorm).max())
     # Complex division by w multiplies by 1/w, which overflows for a
     # subnormal w: such a weight is zero measure too.
-    if weight < _TINY or weight <= ATOL * scale:
+    scales = np.abs(unnorm.reshape(len(unnorm), unnorm[0].size)).max(-1).tolist()
+    # k counts the operators before the first one with zero measure or a
+    # NaN weight or entry (NaN fails both comparisons).
+    k = 0
+    for w, s in zip(weights, scales):
+        if not (w >= _TINY and w > ATOL * s):
+            break
+        k += 1
+    states = [object.__new__(DensityMatrix) for _ in range(k)]
+    if k:
+        # The quotient is a new array, so the states own it.
+        mats = unnorm[:k] / traces[:k, None, None]
+        _settle(states, mats.astype(complex, copy=False), tuple(map(int, dims)))
+    if k < len(weights):
+        w, s = weights[k], scales[k]
+        if not (w < _TINY or w <= ATOL * s):
+            # NaN: divided on its own, numpy warns as it would in a loop of
+            # normalize calls, and the constructor rejects the NaN state.
+            DensityMatrix(unnorm[k] / traces[k], dims)
         raise ZeroProbabilityError("normalize: zero-measure operator")
-    return DensityMatrix(unnorm / weight, dims), weight
+    return states, weights
+
+
+def normalize(unnorm: np.ndarray, dims: tuple[int, ...]) -> tuple[DensityMatrix, float]:
+    """Split an unnormalized positive operator into (state, weight):
+    :func:`normalize_stack` with k = 1."""
+    (rho,), (weight,) = normalize_stack(unnorm[None], dims)
+    return rho, weight
 
 
 def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:

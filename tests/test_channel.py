@@ -9,11 +9,12 @@ from entconc.channel import (
     IndistinguishabilityModel,
     couple,
     couple_distinguishable,
+    couple_grid,
     couple_mixed_indistinguishability,
 )
 from entconc.errors import EntconcError, ZeroProbabilityError
 from entconc.metrics import concurrence
-from entconc.qmath import DensityMatrix, kron, random_psd
+from entconc.qmath import ATOL, DensityMatrix, kron, random_psd
 from entconc.states import mixed_env, singlet_standard
 
 SQ3 = 1.0 / np.sqrt(3)
@@ -230,3 +231,62 @@ class TestMixedKernelProperty:
         assert np.abs(got.success_prob * got.rho.mat - expected).max() < 1e-10
         assert abs(np.trace(got.rho.mat) - 1.0) < 1e-10
         assert np.linalg.eigvalsh(got.rho.mat).min() > -1e-10
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _scalar_loop(signal, env, ts, model):
+    """couple_mixed_indistinguishability at each T, stopping at the first
+    error: (results, (type, message) of the error or None)."""
+    out = []
+    for T in ts:
+        try:
+            out.append(couple_mixed_indistinguishability(signal, env, CouplingParams(T), model))
+        except EntconcError as exc:
+            return out, (type(exc), str(exc))
+    return out, None
+
+
+# T vectors that mix the thresholds, T = 1/2 (where the interfering branch
+# of a basis input can vanish) and the ends with arbitrary values.
+_SPECIAL_T = st.sampled_from([0.0, 0.5, 1.0, float(SQ3), float(1 - SQ3)])
+_T_VECTORS = st.lists(_SPECIAL_T | _UNIT, min_size=1, max_size=130)
+
+
+class TestCoupleGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(ts=_T_VECTORS, p=_UNIT, seed=st.integers(0, 2**32 - 1), basis=_BASIS)
+    @example(ts=[0.0, 0.5, 1.0, float(SQ3), float(1 - SQ3)], p=0.85, seed=1, basis=None)
+    @example(ts=[0.3, 0.5, 0.7], p=1.0, seed=0, basis=(0, 0))
+    @example(ts=[0.5, 0.2], p=1.0, seed=0, basis=(3, 1))
+    @example(ts=[float(t) for t in np.linspace(0.0, 1.0, 130)], p=0.0, seed=2, basis=None)
+    def test_each_state_is_the_single_coupling(self, ts, p, seed, basis):
+        signal, env = _input_pair(seed, basis)
+        model = IndistinguishabilityModel(p)
+        want, error = _scalar_loop(signal, env, ts, model)
+        params = [CouplingParams(T) for T in ts]
+        if error is not None:
+            # The stack raises what the loop raised at its first bad T.
+            with pytest.raises(error[0]) as info:
+                couple_grid(signal, env, params, model)
+            assert str(info.value) == error[1]
+            return
+        got = couple_grid(signal, env, params, model)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            # Same arithmetic, so the same bits: matrix, weight and the
+            # decomposition kept by validation.
+            assert _same_bits(g.rho.mat, w.rho.mat)
+            assert g.success_prob == w.success_prob
+            assert _same_bits(g.rho.eig[0], w.rho.eig[0])
+            assert _same_bits(g.rho.eig[1], w.rho.eig[1])
+            assert g.rho.dims == (2, 2, 2)
+            assert not g.rho.mat.flags.writeable
+            assert abs(np.trace(g.rho.mat) - 1.0) < ATOL
+            assert g.rho.eig[0].min() >= -ATOL
+
+    def test_empty_grid(self):
+        model = IndistinguishabilityModel(0.5)
+        assert couple_grid(singlet_standard(), mixed_env(), [], model) == []

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,27 @@ class TestSweepCoupling:
         )
         assert code == 0
         assert [float(r["T"]) for r in _read_csv(out)] == [0.2, 0.4, 0.8]
+
+    def test_working_set_of_a_dense_sweep(self, tmp_path, capsys):
+        # The grid is coupled in bounded stacks: a 1001-point sweep peaks
+        # near 0.5 MB, where one stack over the whole grid takes 6 MB.
+        warm_up = ["sweep-coupling", "--set", "t_steps=3", "--out", str(tmp_path / "w.csv")]
+        assert _run(warm_up, capsys)[0] == 0
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            code = main(
+                ["sweep-coupling", "--set", "t_steps=1001", "--out", str(tmp_path / "s.csv")]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak - base < 2_000_000
 
 
 class TestProtocolCommand:

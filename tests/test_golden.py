@@ -1,9 +1,11 @@
 """CLI output against committed reference files.
 
 ``tests/golden/cases.json`` lists the five criterion-9 configs, the five
-README examples and three ``table_*`` cases that fill whole ``protocol`` and
-``cascade`` tables (many T points and eps values, raw filters, feed-forward,
-a depth-24 cascade at p = 0.85); each case's data output is
+README examples and four ``table_*`` cases that fill whole ``protocol``,
+``cascade`` and ``sweep-coupling`` tables (many T points and eps values, raw
+filters, feed-forward, a depth-24 cascade at p = 0.85, and a 129-point
+sweep at p = 0.85 that spans several coupling stacks); each case's data
+output is
 ``tests/golden/<name>.out`` and its printed notes are stored beside its argv.
 The files were written by
 ``python -m entconc.cli <argv> --out tests/golden/<name>.out``.

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entconc import qmath
 from entconc.channel import (
     CouplingParams,
     IndistinguishabilityModel,
@@ -86,6 +87,28 @@ class TestFeedForward:
             assert without.cumulative_prob == pytest.approx(
                 with_ff.cumulative_prob / 2.0, abs=1e-12
             )
+
+    @pytest.mark.parametrize("p", [1.0, 0.85])
+    def test_builds_no_extra_states(self, monkeypatch, p):
+        # Every state, alone or from a stack, is set up by qmath._settle.
+        built = []
+        real = qmath._settle
+
+        def counting(states, *args):
+            built.append(len(states))
+            return real(states, *args)
+
+        monkeypatch.setattr(qmath, "_settle", counting)
+        for T in (0.2, 0.4, 0.8):
+            built.clear()
+            plain = run_protocol(T, eps=0.25, p=p)
+            n_plain = sum(built)
+            built.clear()
+            with_ff = run_protocol(T, eps=0.25, p=p, feed_forward_enabled=True)
+            assert sum(built) == n_plain > 0
+            prob_h, prob_v = outcome_probabilities(PostSelectedState(with_ff.steps[1].state, 1.0))
+            assert with_ff.steps[2].step_prob == prob_h + prob_v
+            assert with_ff.steps[2].state.mat.tobytes() == plain.steps[2].state.mat.tobytes()
 
     def test_transparent_branches_coincide(self):
         ps = couple(singlet_standard(), mixed_env(), CouplingParams(1.0))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from entconc import qmath
 from entconc.errors import (
     DimensionError,
     InvariantViolation,
@@ -21,6 +22,7 @@ from entconc.qmath import (
     herm_eigen,
     kron,
     normalize,
+    normalize_stack,
     partial_trace,
     psd_sqrt,
     random_psd,
@@ -230,6 +232,81 @@ class TestNormalize:
         assert rho.mat[3, 3] == 1.0
 
 
+def _unnormalized(kind, rng):
+    """A 4x4 operator for normalize: a weighted state, or one that fails."""
+    if kind == "state":
+        return random_psd(4, rng) * rng.choice([1e-3, 0.4, 1.0, 7.0])
+    if kind == "zero":
+        return np.zeros((4, 4), dtype=complex)
+    if kind == "subnormal":
+        return np.diag([0.0, 0.0, 0.0, 2.7e-309]).astype(complex)
+    if kind == "not_hermitian":
+        m = random_psd(4, rng)
+        m[0, 1] += 0.3
+        return m
+    if kind == "not_psd":
+        return np.diag([1.5, 0.2, 0.1, -0.4]).astype(complex)
+    return np.full((4, 4), np.nan, dtype=complex)
+
+
+def _normalize_loop(stack):
+    """normalize on each operator, stopping at the first error."""
+    out = []
+    for m in stack:
+        try:
+            out.append(normalize(m, (2, 2)))
+        except Exception as exc:  # the type and message are the outcome
+            return out, (type(exc), str(exc))
+    return out, None
+
+
+_OPERATOR_KINDS = st.sampled_from(
+    ["state"] * 4 + ["zero", "subnormal", "not_hermitian", "not_psd", "nan"]
+)
+
+
+class TestNormalizeStack:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(_OPERATOR_KINDS, min_size=1, max_size=12))
+    def test_same_as_a_loop_of_normalize(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        stack = np.array([_unnormalized(kind, rng) for kind in kinds])
+        want, error = _normalize_loop(stack)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if error is not None:
+                with pytest.raises(error[0]) as info:
+                    normalize_stack(stack, (2, 2))
+                assert str(info.value) == error[1]
+                return
+            states, weights = normalize_stack(stack, (2, 2))
+        assert weights == [w for _, w in want]
+        for rho, (alone, _) in zip(states, want, strict=True):
+            assert rho.mat.tobytes() == alone.mat.tobytes()
+            assert rho.eig[0].tobytes() == alone.eig[0].tobytes()
+            assert rho.eig[1].tobytes() == alone.eig[1].tobytes()
+            assert rho.dims == (2, 2) and not rho.mat.flags.writeable
+
+    def test_one_validation_per_stack(self, monkeypatch):
+        calls = []
+        real = qmath._validate
+
+        def counting(mats, dims):
+            calls.append(len(mats))
+            return real(mats, dims)
+
+        monkeypatch.setattr(qmath, "_validate", counting)
+        rng = np.random.default_rng(3)
+        stack = np.array([random_psd(8, rng) * 0.5 for _ in range(5)])
+        states, _ = normalize_stack(stack, (2, 2, 2))
+        assert calls == [5]
+        for a, b in zip(states, states[1:]):
+            assert not np.shares_memory(a.mat, b.mat)
+            assert not np.shares_memory(a.eig[1], b.eig[1])
+        with pytest.raises(ValueError):
+            states[0].mat[0, 0] = 1.0
+
+
 # --- validation against a reference implementation --------------------------
 
 
@@ -325,6 +402,19 @@ class TestHermitianCheck:
         assert _is_hermitian(m) is inside
 
     @pytest.mark.parametrize(
+        "entries", [[[0.5, 1e308], [-1e308, 0.5]], [[0.5, 1e308j], [1e308j, 0.5]]]
+    )
+    def test_overflowing_difference_is_rejected_without_warning(self, entries):
+        m = np.array(entries, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _is_hermitian(m) is False
+            with pytest.raises(NotHermitianError, match="^DensityMatrix: not Hermitian$"):
+                DensityMatrix(m, (2,))
+            with pytest.raises(NotHermitianError, match="^herm_eigen: deviation inf$"):
+                herm_eigen(m)
+
+    @pytest.mark.parametrize(
         "entries",
         [
             [[0.5, np.inf], [np.inf, 0.5]],
@@ -417,6 +507,24 @@ class TestValidationOutcomes:
                 (RuntimeWarning, InvariantViolation),
                 id="overflowing_trace",
             ),
+            # Finite off-diagonal entries whose m - m^H overflows.  The
+            # reference's np.allclose warns; DensityMatrix rejects the matrix
+            # as not Hermitian, with no warning.
+            pytest.param(
+                np.array([[0.5, 1e308], [-1e308, 0.5]]),
+                (2,),
+                (RuntimeWarning, NotHermitianError),
+                id="overflowing_adjoint_difference",
+            ),
+            pytest.param(
+                np.array([[0.5, 1e308j], [1e308j, 0.5]]),
+                (2,),
+                (RuntimeWarning, NotHermitianError),
+                id="overflowing_adjoint_difference_imag",
+            ),
+            # Huge but Hermitian: both accept it as Hermitian and find the
+            # negative eigenvalue.
+            (np.array([[0.5, 1e308], [1e308, 0.5]]), (2,), NotPSDError),
         ],
     )
     def test_explicit_examples(self, m, dims, error):
