@@ -10,9 +10,9 @@ Run:  python3 demos/04_hom_and_tomography.py
 
 import numpy as np
 
+from entconc.cascade import CascadeParams, closed_form_state, coefficients
 from entconc.fock import estimate_overlap, hom_coincidence_prob, hom_scan
 from entconc.metrics import concurrence, fidelity
-from entconc.protocol import sigma2_closed_form
 from entconc.tomography import default_settings, reconstruct, simulate_counts
 
 print("balanced-BS coincidence rates:")
@@ -25,8 +25,9 @@ for p in (1.0, 0.85, 0.5):
     print(f"  overlap {p:4.2f}: dip rate {min(res.coincidence_rates):.4f}, "
           f"visibility {res.visibility:.4f}, recovered p = {estimate_overlap(res):.4f}")
 
-# Tomography of the post-measurement state at T = 0.4.
-rho = sigma2_closed_form(0.4)
+# Tomography of the post-measurement state at T = 0.4: sigma_II, the
+# one-coupling cascade closed form.
+rho = closed_form_state(coefficients(CascadeParams((0.4,))))
 settings = default_settings()
 rec = reconstruct(simulate_counts(rho, settings), settings)
 print(f"\nideal tomography of the post-measurement state: "

@@ -13,12 +13,13 @@ The final joint filtration attenuates V on both modes by sqrt(eps) and the
 H component on the majority side by sqrt(min(A,B)/max(A,B)), giving
 concurrence 2 B_N / (2 B_N + eps C_N) when B_N <= A_N.
 
-These closed forms, and the filter factor :func:`cascade_filter` takes from
-them, are the p = 1 (fully indistinguishable) ones.  :func:`simulate_cascade`
-at p < 1 still filters with the p = 1 factor, and ``entconc cascade``'s
-``C_filt_eps_*`` and ``P_III_eps_*`` columns are :func:`filtered_concurrence`
-and :func:`filtered_success_prob` of these coefficients whatever ``p`` is;
-only ``C_sim`` depends on ``p``.
+These closed forms are the p = 1 (fully indistinguishable) ones; at N = 1,
+:func:`closed_form_state` and ``p_success`` are the single-coupling sigma_II
+and P_II.  :func:`cascade_filter` reads its factor from the populations of
+the state it filters, so :func:`simulate_cascade` balances them at any p.
+The ``C_filt_eps_*`` and ``P_III_eps_*`` columns of ``entconc cascade`` are
+:func:`filtered_concurrence` and :func:`filtered_success_prob` of these
+coefficients whatever ``p`` is; only ``C_sim`` depends on ``p``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    CouplingParams,
-    IndistinguishabilityModel,
-    PostSelectedState,
-    couple_mixed_indistinguishability,
-)
+from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple
 from .errors import DegenerateCouplingError, EntconcError, ZeroProbabilityError
 from .protocol import ProtocolTrace, apply_filter, measure_env, outcome_probabilities
 from .qmath import DensityMatrix
@@ -119,25 +115,26 @@ def filtered_success_prob(coeffs: CascadeCoefficients, eps: float) -> float:
     return eps * (2.0 * m + eps * coeffs.c) / 2 ** (coeffs.n + 1)
 
 
-def cascade_filter(
-    state: DensityMatrix, coeffs: CascadeCoefficients, eps: float
-) -> PostSelectedState:
+def cascade_filter(state: DensityMatrix, eps: float) -> PostSelectedState:
     """Joint filtration after all couplings, as one local filter stage.
 
     Both parties attenuate V by sqrt(eps); the side holding the larger
     central population also attenuates H by sqrt(min/max), so every
     amplitude factor stays in [0, 1]: Alice (sqrt(B/A), sqrt(eps)) with Bob
-    (1, sqrt(eps)) when B <= A, the mirror image otherwise.  Which side
-    absorbs the H factor does not change the resulting concurrence.
+    (1, sqrt(eps)) when B <= A, the mirror image otherwise.  A and B are the
+    HV and VH populations of ``state`` itself, so the filter balances them
+    at any p.  Which side absorbs the H factor does not change the resulting
+    concurrence.
     """
     if not 0.0 < eps <= 1.0:
         raise EntconcError(f"epsilon {eps} outside (0, 1]")
-    if coeffs.a <= 0.0:
+    a, b = state.mat[1, 1].real, state.mat[2, 2].real
+    if a <= 0.0:
         raise DegenerateCouplingError("cascade filter needs A_N > 0")
     root = np.sqrt(eps)
-    if coeffs.b <= coeffs.a:
-        return apply_filter(state, (np.sqrt(coeffs.b / coeffs.a), root), (1.0, root))
-    return apply_filter(state, (1.0, root), (np.sqrt(coeffs.a / coeffs.b), root))
+    if b <= a:
+        return apply_filter(state, (np.sqrt(b / a), root), (1.0, root))
+    return apply_filter(state, (1.0, root), (np.sqrt(a / b), root))
 
 
 def simulate_cascade(params: CascadeParams, p: float = 1.0) -> ProtocolTrace:
@@ -148,13 +145,12 @@ def simulate_cascade(params: CascadeParams, p: float = 1.0) -> ProtocolTrace:
     state = SINGLET_STANDARD
     trace.record("input", state, 1.0)
     for i, t in enumerate(params.transmittivities):
-        coupled = couple_mixed_indistinguishability(state, MIXED_ENV, CouplingParams(t), model)
+        coupled = couple(state, MIXED_ENV, CouplingParams(t), model)
         trace.record(f"coupled_{i + 1}", coupled.rho, coupled.success_prob)
         prob_h, _ = outcome_probabilities(coupled)
         measured = measure_env(coupled, "H")
         trace.record(f"measured_{i + 1}", measured.rho, prob_h)
         state = measured.rho
-    coeffs = coefficients(params)
-    filtered = cascade_filter(state, coeffs, params.eps)
+    filtered = cascade_filter(state, params.eps)
     trace.record("filtered", filtered.rho, filtered.success_prob)
     return trace

@@ -30,10 +30,9 @@ so a branch that vanishes (HOM bunching) drops only its own weight.
 Stack contract: the map is one kernel, :func:`couple_grid`, over a vector of
 T (a sequence of :class:`CouplingParams`) at one p.  It builds the n
 operators as one ``(n, 8, 8)`` stack and normalizes them with
-:func:`entconc.qmath.normalize_stack`.  :func:`couple`,
-:func:`couple_distinguishable` and :func:`couple_mixed_indistinguishability`
-are its k = 1 case.  Each state and probability is bitwise the one its T
-gets alone, and a stack that fails raises what its first bad T raises alone.
+:func:`entconc.qmath.normalize_stack`.  :func:`couple` is its k = 1 case.
+Each state and probability is bitwise the one its T gets alone, and a stack
+that fails raises what its first bad T raises alone.
 """
 
 from __future__ import annotations
@@ -97,32 +96,20 @@ _ZERO_BLOCK = np.array([4, 3, 5, 3])[_BLOCK]
 _OP_INDEX = np.block([[_BLOCK, _ZERO_BLOCK], [_ZERO_BLOCK, _BLOCK]])
 
 
-def couple(signal: DensityMatrix, env: DensityMatrix, params: CouplingParams) -> PostSelectedState:
-    """Couple the B qubit of a two-qubit signal state with one environment qubit.
-
-    Returns the normalized three-qubit state on (A, B, E) and the trace of the
-    unnormalized one-photon-per-mode block as success probability.
-    """
-    return couple_mixed_indistinguishability(signal, env, params, IndistinguishabilityModel(1.0))
-
-
-def couple_distinguishable(
-    signal: DensityMatrix, env: DensityMatrix, params: CouplingParams
-) -> PostSelectedState:
-    """Same coupling when signal and environment photons carry orthogonal
-    internal tags, so no two-photon interference occurs: the Kraus pair
-    {T I, -R SWAP} on (B, E), with the tag traced out."""
-    return couple_mixed_indistinguishability(signal, env, params, IndistinguishabilityModel(0.0))
-
-
-def couple_mixed_indistinguishability(
+def couple(
     signal: DensityMatrix,
     env: DensityMatrix,
     params: CouplingParams,
-    model: IndistinguishabilityModel,
+    model: IndistinguishabilityModel = IndistinguishabilityModel(1.0),
 ) -> PostSelectedState:
-    """Coupling at indistinguishability p: :func:`couple_grid` with one T.
-    p = 1 is :func:`couple` and p = 0 is :func:`couple_distinguishable`."""
+    """Couple the B qubit of a two-qubit signal state with one environment
+    qubit at indistinguishability p: :func:`couple_grid` with one T.
+
+    Returns the normalized three-qubit state on (A, B, E) and the trace of the
+    unnormalized one-photon-per-mode block as success probability.  p = 1
+    (the default) is the interfering block alone; p = 0 is the Kraus pair
+    {T I, -R SWAP} of orthogonally tagged photons, with the tag traced out.
+    """
     return couple_grid(signal, env, (params,), model)[0]
 
 

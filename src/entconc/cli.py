@@ -28,8 +28,9 @@ import numpy as np
 
 from .cascade import (
     CascadeParams,
-    coefficients,
     closed_form_concurrence,
+    closed_form_state,
+    coefficients,
     filtered_concurrence,
     filtered_success_prob,
     simulate_cascade,
@@ -44,7 +45,6 @@ from .protocol import (
     raw_attenuations,
     rebalance_filter,
     run_protocol,
-    sigma2_closed_form,
     sigma3_closed_form,
 )
 from .qmath import DensityMatrix
@@ -81,9 +81,14 @@ def write_table(header: list[str], rows: list[list], out, fmt: str):
         out.write(json.dumps(payload, indent=2, default=_fmt) + "\n")
 
 
+def _floats(cfg: dict, key: str, default: str) -> list[float]:
+    """The comma-separated floats under ``key``; blank entries are skipped."""
+    return [float(x) for x in str(cfg.get(key, default)).split(",") if x.strip()]
+
+
 def _grid(cfg: dict) -> np.ndarray:
     if "t_grid" in cfg:
-        vals = [float(x) for x in str(cfg["t_grid"]).split(",") if x.strip()]
+        vals = _floats(cfg, "t_grid", "")
     else:
         t_min = float(cfg.get("t_min", 0.0))
         t_max = float(cfg.get("t_max", 1.0))
@@ -151,7 +156,7 @@ def _fill_concurrences(rows: list[list]) -> list[list]:
 
 def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
     ts = _grid(cfg)
-    eps_list = [float(x) for x in str(cfg.get("eps_list", "0.25,0.05")).split(",") if x.strip()]
+    eps_list = _floats(cfg, "eps_list", "0.25,0.05")
     p = float(cfg.get("p", 1.0))
     feed = str(cfg.get("feed_forward", "false")).lower() in ("1", "true", "yes")
     dump = str(cfg.get("dump_trace", "false")).lower() in ("1", "true", "yes")
@@ -209,12 +214,12 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
     if n_max < 1:
         raise ConfigError("n_max must be >= 1")
     if "t_list" in cfg:
-        t_all = [float(x) for x in str(cfg["t_list"]).split(",") if x.strip()]
+        t_all = _floats(cfg, "t_list", "")
         if len(t_all) < n_max:
             raise ConfigError("t_list shorter than n_max")
     else:
         t_all = [float(cfg.get("t", 0.1))] * n_max
-    eps_list = [float(x) for x in str(cfg.get("eps_list", "0.25,0.05")).split(",") if x.strip()]
+    eps_list = _floats(cfg, "eps_list", "0.25,0.05")
     p = float(cfg.get("p", 1.0))
     header = ["N", "C_closed", "C_sim", "P_N"]
     for e in eps_list:
@@ -237,7 +242,7 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
 
 
 def cmd_hom(cfg: dict, out, fmt: str) -> list[str]:
-    overlaps = [float(x) for x in str(cfg.get("overlap_grid", "0,0.25,0.5,0.85,1")).split(",")]
+    overlaps = _floats(cfg, "overlap_grid", "0,0.25,0.5,0.85,1")
     t = float(cfg.get("t", 0.5))
     rows = []
     for ov in overlaps:
@@ -252,7 +257,9 @@ def cmd_hom(cfg: dict, out, fmt: str) -> list[str]:
 
 _TOMO_STATES = {
     "singlet": lambda cfg: singlet_standard(),
-    "sigma2": lambda cfg: sigma2_closed_form(float(cfg.get("t", 0.4))),
+    "sigma2": lambda cfg: closed_form_state(
+        coefficients(CascadeParams((float(cfg.get("t", 0.4)),)))
+    ),
     "sigma3": lambda cfg: sigma3_closed_form(
         float(cfg.get("t", 0.4)), float(cfg.get("eps", 0.25))
     ),

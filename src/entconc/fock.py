@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EntconcError, ZeroProbabilityError
-from .qmath import DensityMatrix, herm_eigen, normalize
+from .qmath import DensityMatrix, normalize
 
 Mode = tuple[str, int, str]  # (spatial, polarization, tag)
 OccKey = tuple[tuple[Mode, int], ...]  # sorted ((mode, count), ...)
@@ -123,8 +123,8 @@ def oracle_couple(
     from .channel import PostSelectedState  # local import, avoids a cycle
 
     env_tag = "e" if distinguishable else "s"
-    sig_w, sig_v = herm_eigen(signal)
-    env_w, env_v = herm_eigen(env)
+    sig_w, sig_v = signal.eig
+    env_w, env_v = env.eig
     total = np.zeros((8, 8), dtype=complex)
     for i, ws in enumerate(sig_w):
         if ws <= 1e-14:

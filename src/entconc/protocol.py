@@ -7,13 +7,13 @@ an amplitude pair (h, v) in [0, 1], |H> -> h|H> and |V> -> v|V> (a partial
 polarizer); (1, 1) is no filter.  With k = kron(alice, bob) the filtered
 state is k_i rho_ij k_j, and :func:`apply_filter` is the one filter kernel.
 
-Closed forms implemented here (checked against the simulator):
+The measured state sigma_II = {T^2, -T(T-R), (T-R)^2, R^2} / (4 P_II), with
+P_II = (T^2 + (T-R)^2 + R^2) / 4 and C_II = T |T-R| / (2 P_II), is the N = 1
+case of :mod:`entconc.cascade` (``closed_form_state``, ``p_success`` and
+``closed_form_concurrence`` of ``coefficients(CascadeParams((T,)))``).
 
-    sigma_II  = {T^2, -T(T-R), (T-R)^2, R^2} / (4 P_II),
-    P_II      = (T^2 + (T-R)^2 + R^2) / 4,
-    C_II      = T |T-R| / (2 P_II),
-
-and after the rebalancing + epsilon filters
+Closed forms implemented here (checked against the simulator), after the
+rebalancing + epsilon filters:
 
     sigma_III = {eps*alpha, -eps*alpha, eps*alpha, eps^2*delta} / (4 P_III),
     C_III     = 2 eps alpha / (2 eps alpha + eps^2 delta),
@@ -34,12 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    CouplingParams,
-    IndistinguishabilityModel,
-    PostSelectedState,
-    couple_mixed_indistinguishability,
-)
+from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple
 from .errors import DegenerateCouplingError, DimensionError, EntconcError
 from .qmath import DensityMatrix, kron, normalize
 from .states import MIXED_ENV, SIGMA_X, SINGLET_STANDARD
@@ -172,26 +167,6 @@ def epsilon_filter(state: DensityMatrix, eps: float) -> PostSelectedState:
 # --- closed forms -----------------------------------------------------------
 
 
-def p2_closed_form(T: float) -> float:
-    R = 1.0 - T
-    return (T**2 + (T - R) ** 2 + R**2) / 4.0
-
-
-def sigma2_closed_form(T: float) -> DensityMatrix:
-    R = 1.0 - T
-    m = np.zeros((4, 4), dtype=complex)
-    m[1, 1] = T**2
-    m[1, 2] = m[2, 1] = -T * (T - R)
-    m[2, 2] = (T - R) ** 2
-    m[3, 3] = R**2
-    return DensityMatrix(m / (4.0 * p2_closed_form(T)), (2, 2))
-
-
-def c2_closed_form(T: float) -> float:
-    R = 1.0 - T
-    return T * abs(T - R) / (2.0 * p2_closed_form(T))
-
-
 def sigma3_params(T: float) -> tuple[float, float]:
     """(alpha, delta) of the filtered-state closed form at this T."""
     R = 1.0 - T
@@ -251,9 +226,7 @@ def run_protocol(
     trace = ProtocolTrace()
     trace.record("input", SINGLET_STANDARD, 1.0)
 
-    coupled = couple_mixed_indistinguishability(
-        SINGLET_STANDARD, MIXED_ENV, CouplingParams(T), IndistinguishabilityModel(p)
-    )
+    coupled = couple(SINGLET_STANDARD, MIXED_ENV, CouplingParams(T), IndistinguishabilityModel(p))
     trace.record("coupled", coupled.rho, coupled.success_prob)
 
     prob_h, prob_v = outcome_probabilities(coupled)

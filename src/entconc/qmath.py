@@ -8,9 +8,9 @@ not arithmetic, and each state does its work once:
 - validate on construction: every :class:`DensityMatrix` checks dimension,
   trace, Hermiticity and positivity when it is built, and never again;
 - decompose once: the positivity check runs one ``eigh`` and the state keeps
-  its descending ``(w, V)`` as ``eig``.  :func:`herm_eigen` and
-  :func:`psd_sqrt` given a :class:`DensityMatrix` reuse it, so a state is
-  never diagonalized twice;
+  its descending ``(w, V)`` as ``eig``, the only eigendecomposition of a
+  state.  :func:`psd_sqrt` and every other spectral computation read it, so
+  a state is never diagonalized twice;
 - ``mat`` is a read-only copy of the input (a state built in a stack holds
   its own slice of one new array), so the kept decomposition cannot go
   stale.  Derive a new matrix and construct a new :class:`DensityMatrix`
@@ -117,34 +117,15 @@ def _is_close_to_adjoint(m: np.ndarray) -> bool:
     return bool((np.abs(m - mh) <= ATOL + 1e-5 * np.abs(mh)).all())
 
 
-def herm_eigen(m: np.ndarray | DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns ``(w, V)`` with columns of ``V`` the eigenvectors, so that
-    ``V @ diag(w) @ V.conj().T`` reconstructs ``m``.  A
-    :class:`DensityMatrix` returns the decomposition it was validated with.
-    """
-    if isinstance(m, DensityMatrix):
-        return m.eig
-    m = np.asarray(m, dtype=complex)
-    if not _is_hermitian(m):
-        with np.errstate(invalid="ignore", over="ignore"):
-            dev = np.abs(m - m.conj().T).max()
-        raise NotHermitianError(f"herm_eigen: deviation {dev:.3e}")
-    # eigh sorts ascending, so descending order is its reversal.
-    w, v = np.linalg.eigh(m)
-    return w[::-1], v[:, ::-1]
-
-
-def psd_sqrt(m: np.ndarray | DensityMatrix | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, of a :class:`DensityMatrix`
-    (from its kept decomposition), or of a stack given as the descending
-    ``(w, V)`` that :func:`_validate` returns.
+def psd_sqrt(m: DensityMatrix | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Hermitian square root of a :class:`DensityMatrix` (from its kept
+    decomposition), or of a stack given as the descending ``(w, V)`` that
+    :func:`_validate` returns.
 
     Eigenvalues in [-ATOL, 0) are clamped to zero; anything more negative is
     rejected.
     """
-    w, v = m if isinstance(m, tuple) else herm_eigen(m)
+    w, v = m if isinstance(m, tuple) else m.eig
     if w.min() < -ATOL:
         raise NotPSDError(f"psd_sqrt: eigenvalue {w.min():.3e}")
     w = np.maximum(w, 0.0)
@@ -218,13 +199,6 @@ class DensityMatrix:
         out = partial_trace(self.mat, self.dims, keep)
         return DensityMatrix(out, tuple(self.dims[i] for i in keep))
 
-    def eigenvalues(self) -> np.ndarray:
-        w, _ = herm_eigen(self)
-        return w
-
-    def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        return DensityMatrix(kron(self.mat, other.mat), self.dims + other.dims)
-
 
 def _settle(states: list[DensityMatrix], mats: np.ndarray, dims: tuple[int, ...]):
     """Validate the new ``(k, d, d)`` stack ``mats`` with one :func:`_validate`
@@ -284,17 +258,3 @@ def normalize(unnorm: np.ndarray, dims: tuple[int, ...]) -> tuple[DensityMatrix,
     :func:`normalize_stack` with k = 1."""
     (rho,), (weight,) = normalize_stack(unnorm[None], dims)
     return rho, weight
-
-
-def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random unit-trace PSD matrix built as G†G / tr."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g.conj().T @ g
-    return m / np.trace(m).real
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary from the QR of a Ginibre matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

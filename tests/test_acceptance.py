@@ -21,27 +21,20 @@ from entconc.cascade import (
     filtered_success_prob,
     simulate_cascade,
 )
-from entconc.channel import (
-    CouplingParams,
-    IndistinguishabilityModel,
-    couple,
-    couple_mixed_indistinguishability,
-)
+from entconc.channel import CouplingParams, couple
 from entconc.cli import main
 from entconc.fock import estimate_overlap, hom_coincidence_prob, hom_scan
 from entconc.metrics import concurrence, fidelity
 from entconc.protocol import (
-    c2_closed_form,
     c3_closed_form,
     measure_env,
-    p2_closed_form,
     raw_attenuations,
     run_protocol,
-    sigma2_closed_form,
     sigma3_closed_form,
 )
 from entconc.states import mixed_env, singlet, singlet_standard, werner
 from entconc.tomography import default_settings, reconstruct, simulate_counts
+from helpers import sigma2
 
 
 def _report(name, ok, detail=""):
@@ -59,8 +52,9 @@ def test_criterion_1_closed_form_equivalence():
     for T in rng.uniform(0.0, 1.0, 20):
         T = float(T)
         got = measure_env(couple(singlet_standard(), mixed_env(), CouplingParams(T)), "H")
-        worst_state = max(worst_state, np.abs(got.rho.mat - sigma2_closed_form(T).mat).max())
-        worst_prob = max(worst_prob, abs(got.success_prob - p2_closed_form(T)))
+        worst_state = max(worst_state, np.abs(got.rho.mat - sigma2(T).mat).max())
+        p2 = coefficients(CascadeParams((T,))).p_success
+        worst_prob = max(worst_prob, abs(got.success_prob - p2))
     elapsed = time.perf_counter() - start
     ok = worst_state <= 1e-10 and worst_prob <= 1e-10 and elapsed < 1.0
     assert _report(
@@ -75,7 +69,8 @@ def test_criterion_2_concurrence_formulas():
     worst = 0.0
     for T in np.linspace(0.005, 0.995, 50):
         T = float(T)
-        worst = max(worst, abs(concurrence(sigma2_closed_form(T)).value - c2_closed_form(T)))
+        c2 = closed_form_concurrence(coefficients(CascadeParams((T,))))
+        worst = max(worst, abs(concurrence(sigma2(T)).value - c2))
         if abs(T - 0.5) < 1e-3:
             continue
         for eps in (0.02, 0.1, 0.25, 0.5, 1.0):
@@ -113,7 +108,7 @@ def test_criterion_3_thresholds():
     x_ab = crossing(c_ab)
     x_ae = crossing(c_ae)
     t_be = ts[np.argmax(c_be)]
-    c2_ends = max(c2_closed_form(0.0), c2_closed_form(0.5))
+    c2_ends = max(closed_form_concurrence(coefficients(CascadeParams((T,)))) for T in (0.0, 0.5))
     elapsed = time.perf_counter() - start
     ok = (
         abs(x_ab - 1 / np.sqrt(3)) <= 1e-3
@@ -174,7 +169,7 @@ def test_criterion_5_asymptotic_filtration():
             state = closed_form_state(coeffs)
             found = None
             for eps in (0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-13):
-                out = cascade_filter(state, coeffs, eps)
+                out = cascade_filter(state, eps)
                 worst_prob = max(
                     worst_prob,
                     abs(
@@ -261,7 +256,7 @@ def test_criterion_8_tomography():
         "singlet": singlet(),
         "singlet_std": singlet_standard(),
         "werner_0.5": werner(0.5),
-        "sigma2_T0.4": sigma2_closed_form(0.4),
+        "sigma2_T0.4": sigma2(0.4),
         "sigma3_T0.4_e0.25": sigma3_closed_form(0.4, 0.25),
     }
     ideal = default_settings()

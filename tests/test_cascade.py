@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entconc.cascade import (
     CascadeParams,
@@ -13,7 +15,9 @@ from entconc.cascade import (
 )
 from entconc.errors import DegenerateCouplingError, EntconcError
 from entconc.metrics import concurrence
-from entconc.protocol import apply_filter, p2_closed_form, sigma2_closed_form
+from entconc.protocol import apply_filter, run_protocol
+
+SQ3 = 1.0 / np.sqrt(3)
 
 
 def _cumulative(trace):
@@ -32,11 +36,17 @@ class TestCoefficients:
         assert coeffs.p_success == pytest.approx((0.0256 + 0.0016 + 0.072) / 8, abs=1e-12)
 
     def test_single_stage_matches_protocol(self):
+        # N = 1 is the single-coupling sigma_II and P_II of the paper.
         for T in (0.1, 0.4, 0.8):
+            R = 1.0 - T
+            p2 = (T**2 + (T - R) ** 2 + R**2) / 4.0
+            sigma2 = np.zeros((4, 4))
+            sigma2[1, 1], sigma2[2, 2], sigma2[3, 3] = T**2, (T - R) ** 2, R**2
+            sigma2[1, 2] = sigma2[2, 1] = -T * (T - R)
             coeffs = coefficients(CascadeParams((T,)))
-            assert coeffs.p_success == pytest.approx(p2_closed_form(T), abs=1e-12)
+            assert coeffs.p_success == pytest.approx(p2, abs=1e-12)
             state = closed_form_state(coeffs)
-            assert np.abs(state.mat - sigma2_closed_form(T).mat).max() < 1e-12
+            assert np.abs(state.mat - sigma2 / (4.0 * p2)).max() < 1e-12
 
     def test_cross_magnitude(self):
         rng = np.random.default_rng(50)
@@ -93,26 +103,29 @@ class TestClosedFormAgainstSimulation:
     @pytest.mark.parametrize("p", [1.0, 0.85])
     def test_one_stage_equals_two_stages(self, ts, p):
         # The joint filter as one stage equals the H-factor stage followed
-        # by the remaining V stage on the majority side.
+        # by the remaining V stage on the majority side, with the factor
+        # taken from the HV/VH populations of the state it filters.
         params = CascadeParams(ts, eps=0.3)
-        coeffs = coefficients(params)
         state = simulate_cascade(params, p=p).steps[-2].state
+        a, b = state.mat[1, 1].real, state.mat[2, 2].real
         root = np.sqrt(0.3)
-        if coeffs.b <= coeffs.a:
-            first = apply_filter(state, (np.sqrt(coeffs.b / coeffs.a), 1.0), (1.0, root))
+        if b <= a:
+            first = apply_filter(state, (np.sqrt(b / a), 1.0), (1.0, root))
             second = apply_filter(first.rho, (1.0, root))
         else:
-            first = apply_filter(state, (1.0, root), (np.sqrt(coeffs.a / coeffs.b), 1.0))
+            first = apply_filter(state, (1.0, root), (np.sqrt(a / b), 1.0))
             second = apply_filter(first.rho, bob=(1.0, root))
-        out = cascade_filter(state, coeffs, 0.3)
+        out = cascade_filter(state, 0.3)
         assert np.abs(out.rho.mat - second.rho.mat).max() < 1e-14
         want = first.success_prob * second.success_prob
         assert out.success_prob == pytest.approx(want, rel=1e-13)
+        # The filtered HV and VH populations are balanced at every p.
+        assert out.rho.mat[1, 1].real == pytest.approx(out.rho.mat[2, 2].real, rel=1e-12)
 
     def test_filter_side_irrelevant_to_concurrence(self):
         coeffs = coefficients(CascadeParams((0.7, 0.6)))
         state = closed_form_state(coeffs)
-        out = cascade_filter(state, coeffs, 0.4)
+        out = cascade_filter(state, 0.4)
         assert concurrence(out.rho).value == pytest.approx(
             filtered_concurrence(coeffs, 0.4), abs=1e-12
         )
@@ -139,7 +152,7 @@ class TestFilteredScaling:
     def test_degenerate_chain_rejected(self):
         coeffs = coefficients(CascadeParams((0.0,)))
         with pytest.raises(DegenerateCouplingError):
-            cascade_filter(closed_form_state(coeffs), coeffs, 0.5)
+            cascade_filter(closed_form_state(coeffs), 0.5)
 
 
 class TestPartialIndistinguishability:
@@ -154,3 +167,27 @@ class TestPartialIndistinguishability:
         full = concurrence(simulate_cascade(params).final_state).value
         partial = concurrence(simulate_cascade(params, p=0.85).final_state).value
         assert partial < full
+
+
+class TestProtocolIsOneStageCascade:
+    @settings(max_examples=200, deadline=None)
+    @given(T=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0))
+    @example(T=0.0, p=1.0)
+    @example(T=0.0, p=0.85)
+    @example(T=0.5, p=1.0)
+    @example(T=1.0, p=0.3)
+    @example(T=float(SQ3), p=0.85)
+    @example(T=float(1 - SQ3), p=0.0)
+    def test_coupled_and_measured_bitwise(self, T, p):
+        protocol = {s.name: s for s in run_protocol(T, p=p).steps}
+        if protocol["measured"].state.mat[1, 1].real <= 0.0:
+            # T = 0: A_1 = 0, so the cascade's final filter has nothing to balance.
+            with pytest.raises(DegenerateCouplingError, match="cascade filter needs A_N > 0"):
+                simulate_cascade(CascadeParams((T,)), p)
+            return
+        cascade = {s.name: s for s in simulate_cascade(CascadeParams((T,)), p).steps}
+        for name in ("coupled", "measured"):
+            want, got = protocol[name], cascade[f"{name}_1"]
+            assert got.state.dims == want.state.dims
+            assert got.state.mat.tobytes() == want.state.mat.tobytes()
+            assert got.step_prob == want.step_prob

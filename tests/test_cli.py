@@ -298,6 +298,24 @@ class TestHomCommand:
             )
 
 
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["sweep-coupling"], "t_grid", "0.2,,0.8,"),
+        (["protocol", "--set", "t_grid=0.4"], "eps_list", "0.25, ,0.05,"),
+        (["cascade", "--set", "n_max=2"], "t_list", ",0.4,,0.6"),
+        (["cascade", "--set", "t=0.4", "--set", "n_max=2"], "eps_list", "0.25,,"),
+        (["hom"], "overlap_grid", "0,0.5,"),
+    ],
+)
+def test_blank_list_entries_are_skipped(argv, key, value, capsys):
+    # Every comma-separated list key skips blank entries the same way.
+    compact = ",".join(x for x in value.split(",") if x.strip())
+    want = _run(argv + ["--set", f"{key}={compact}"], capsys)
+    assert want[0] == 0
+    assert _run(argv + ["--set", f"{key}={value}"], capsys) == want
+
+
 class TestTomoCommand:
     def test_ideal_fidelity(self, tmp_path, capsys):
         out = tmp_path / "tomo.csv"

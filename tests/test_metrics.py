@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entconc.cascade import CascadeParams, simulate_cascade
+from entconc.cascade import CascadeParams, closed_form_concurrence, coefficients, simulate_cascade
 from entconc.errors import DimensionError
 from entconc.metrics import concurrence, concurrence_x_form, concurrences, fidelity, purity
-from entconc.protocol import c2_closed_form, sigma2_closed_form, sigma3_closed_form
-from entconc.qmath import DensityMatrix, kron, random_psd, random_unitary
+from entconc.protocol import sigma3_closed_form
+from entconc.qmath import DensityMatrix, kron
 from entconc.states import ket_density, mixed_env, singlet, singlet_standard, werner
+from helpers import random_psd, random_unitary, sigma2
 
 
 def _brute_force_werner_concurrence(q):
@@ -30,9 +31,10 @@ class TestConcurrence:
         assert concurrence(DensityMatrix(np.eye(4) / 4, (2, 2))).value == 0.0
 
     def test_sigma2_closed_form(self):
-        rep = concurrence(sigma2_closed_form(0.4))
+        rep = concurrence(sigma2(0.4))
         assert rep.value == pytest.approx(0.08 / 0.28, abs=1e-12)
-        assert rep.value == pytest.approx(c2_closed_form(0.4), abs=1e-12)
+        want = closed_form_concurrence(coefficients(CascadeParams((0.4,))))
+        assert rep.value == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("q", np.linspace(0.0, 1.0, 11))
     def test_werner_formula(self, q):
@@ -61,7 +63,7 @@ class TestConcurrence:
 
     def test_x_form_shortcut_agrees(self):
         for T in np.linspace(0.01, 0.99, 25):
-            s2 = sigma2_closed_form(T)
+            s2 = sigma2(T)
             assert abs(concurrence(s2).value - concurrence_x_form(s2)) < 1e-12
         for T in (0.1, 0.4, 0.8):
             s3 = sigma3_closed_form(T, 0.25)
@@ -132,7 +134,7 @@ class TestConcurrences:
         assert concurrences([]) == []
 
     def test_three_qubit_state_raises_as_concurrence_does(self):
-        three = singlet_standard().tensor(mixed_env())
+        three = DensityMatrix(kron(singlet_standard().mat, mixed_env().mat), (2, 2, 2))
         with pytest.raises(DimensionError) as alone:
             concurrence(three)
         with pytest.raises(DimensionError) as batch:
@@ -174,8 +176,8 @@ class TestPurity:
         assert purity(DensityMatrix(np.eye(4) / 4, (2, 2))) == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_eigenvalue_sum(self):
-        s2 = sigma2_closed_form(0.4)
-        assert purity(s2) == pytest.approx(float((s2.eigenvalues() ** 2).sum()), abs=1e-12)
+        s2 = sigma2(0.4)
+        assert purity(s2) == pytest.approx(float((s2.eig[0] ** 2).sum()), abs=1e-12)
 
     def test_standard_singlet_equivalent(self):
         assert purity(singlet_standard()) == pytest.approx(1.0, abs=1e-12)

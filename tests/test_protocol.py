@@ -4,34 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entconc import qmath
-from entconc.channel import (
-    CouplingParams,
-    IndistinguishabilityModel,
-    PostSelectedState,
-    couple,
-    couple_mixed_indistinguishability,
-)
+from entconc.cascade import CascadeParams, coefficients
+from entconc.channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple
 from entconc.errors import DegenerateCouplingError, DimensionError, EntconcError
 from entconc.metrics import concurrence, fidelity
 from entconc.protocol import (
     apply_filter,
-    c2_closed_form,
     c3_closed_form,
     epsilon_filter,
     feed_forward,
     measure_env,
     outcome_probabilities,
-    p2_closed_form,
     p3_closed_form,
     raw_attenuations,
     rebalance_branch,
     rebalance_filter,
     run_protocol,
-    sigma2_closed_form,
     sigma3_closed_form,
 )
-from entconc.qmath import DensityMatrix, kron, normalize, partial_trace, random_psd
+from entconc.qmath import DensityMatrix, kron, normalize, partial_trace
 from entconc.states import KET_H, KET_V, is_x_form, mixed_env, singlet_standard
+from helpers import random_psd, sigma2
 
 
 def _post_measurement(T, result="H"):
@@ -43,8 +36,9 @@ class TestMeasureEnv:
     def test_sigma2_entries(self):
         for T in np.linspace(0.0, 1.0, 50):
             got = _post_measurement(float(T))
-            assert np.abs(got.rho.mat - sigma2_closed_form(float(T)).mat).max() < 1e-10
-            assert abs(got.success_prob - p2_closed_form(float(T))) < 1e-10
+            assert np.abs(got.rho.mat - sigma2(float(T)).mat).max() < 1e-10
+            p2 = coefficients(CascadeParams((float(T),))).p_success
+            assert abs(got.success_prob - p2) < 1e-10
 
     def test_concurrence_t04(self):
         got = _post_measurement(0.4)
@@ -127,7 +121,7 @@ class TestFeedForward:
     @pytest.mark.parametrize("p", [1.0, 0.85, 0.0])
     @pytest.mark.parametrize("T", [0.05, 0.2, 0.4, 0.6, 0.95])
     def test_corrected_branch_matches_h_branch(self, T, p):
-        ps = couple_mixed_indistinguishability(
+        ps = couple(
             singlet_standard(), mixed_env(), CouplingParams(T), IndistinguishabilityModel(p)
         )
         h = measure_env(ps, "H")
@@ -157,7 +151,7 @@ class TestRebalanceFilter:
 
     @pytest.mark.parametrize("T", [0.1, 0.25, 0.4, 0.7, 0.95])
     def test_balances_central_populations(self, T):
-        out = rebalance_filter(sigma2_closed_form(T), T)
+        out = rebalance_filter(sigma2(T), T)
         m = out.rho.mat
         assert abs(m[1, 1] - m[2, 2]) < 1e-10
 
@@ -166,7 +160,7 @@ class TestEpsilonFilter:
     @pytest.mark.parametrize("T", [0.1, 0.25, 0.4, 0.7, 0.95])
     @pytest.mark.parametrize("eps", [0.05, 0.25, 1.0])
     def test_sigma3_closed_form(self, T, eps):
-        rebalanced = rebalance_filter(sigma2_closed_form(T), T)
+        rebalanced = rebalance_filter(sigma2(T), T)
         out = epsilon_filter(rebalanced.rho, eps)
         assert np.abs(out.rho.mat - sigma3_closed_form(T, eps).mat).max() < 1e-10
         assert concurrence(out.rho).value == pytest.approx(c3_closed_form(T, eps), abs=1e-10)
@@ -176,13 +170,13 @@ class TestEpsilonFilter:
             assert c3_closed_form(T, 1e-9) > 1 - 1e-6
 
     def test_identity_at_transparent(self):
-        rebalanced = rebalance_filter(sigma2_closed_form(1.0), 1.0)
+        rebalanced = rebalance_filter(sigma2(1.0), 1.0)
         out = epsilon_filter(rebalanced.rho, 1.0)
         assert np.abs(out.rho.mat - singlet_standard().mat).max() < 1e-12
 
     def test_rejects_zero_eps(self):
         with pytest.raises(EntconcError):
-            epsilon_filter(sigma2_closed_form(0.4), 0.0)
+            epsilon_filter(sigma2(0.4), 0.0)
 
     def test_monotone_in_eps(self):
         for T in (0.2, 0.4, 0.8):

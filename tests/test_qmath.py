@@ -19,23 +19,16 @@ from entconc.qmath import (
     DensityMatrix,
     _is_hermitian,
     _validate,
-    herm_eigen,
     kron,
     normalize,
     normalize_stack,
     partial_trace,
     psd_sqrt,
-    random_psd,
-    random_unitary,
 )
-from entconc.states import SIGMA_X, SIGMA_Y, mixed_env, singlet
-from entconc.channel import (
-    CouplingParams,
-    IndistinguishabilityModel,
-    couple,
-    couple_mixed_indistinguishability,
-)
+from entconc.states import SIGMA_Y, mixed_env, singlet
+from entconc.channel import CouplingParams, IndistinguishabilityModel, couple
 from entconc.states import singlet_standard, werner
+from helpers import random_psd, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 
@@ -136,62 +129,56 @@ class TestPartialTrace:
 
 
 class TestHermEigen:
-    def test_diagonal(self):
-        w, v = herm_eigen(np.diag([3.0, 1.0]))
-        assert np.allclose(w, [3.0, 1.0])
-        assert np.allclose(np.abs(v), np.eye(2))
+    """The decomposition each state keeps from validation, ``DensityMatrix.eig``."""
 
-    def test_sigma_x(self):
-        w, v = herm_eigen(SIGMA_X)
-        assert np.allclose(w, [1.0, -1.0])
-        assert np.allclose(np.abs(v), np.full((2, 2), 1 / np.sqrt(2)))
+    def test_diagonal(self):
+        w, v = DensityMatrix(np.diag([3.0, 1.0]) / 4, (2,)).eig
+        assert np.allclose(w, [0.75, 0.25])
+        assert np.allclose(np.abs(v), np.eye(2))
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.7, 1.0])
     def test_werner_spectrum(self, q):
-        w, _ = herm_eigen(werner(q).mat)
+        w, _ = werner(q).eig
         expected = sorted([(1 + 3 * q) / 4] + [(1 - q) / 4] * 3, reverse=True)
         assert np.allclose(w, expected, atol=1e-12)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
-        for dim in (2, 4, 8):
-            m = random_psd(dim, rng)
-            w, v = herm_eigen(m)
+        for dims in ((2,), (2, 2), (2, 2, 2)):
+            m = random_psd(2 ** len(dims), rng)
+            w, v = DensityMatrix(m, dims).eig
             assert np.abs((v * w) @ v.conj().T - m).max() < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            herm_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_density_matrix_eigenvalues_sum_to_one(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             rho = DensityMatrix(random_psd(4, rng), (2, 2))
-            assert abs(rho.eigenvalues().sum() - 1.0) < 1e-9
+            assert abs(rho.eig[0].sum() - 1.0) < 1e-9
 
 
 class TestPsdSqrt:
     def test_scaled_identity(self):
-        assert np.abs(psd_sqrt(np.eye(4) / 4) - np.eye(4) / 2).max() < 1e-12
+        root = psd_sqrt(DensityMatrix(np.eye(4) / 4, (2, 2)))
+        assert np.abs(root - np.eye(4) / 2).max() < 1e-12
 
     def test_pure_projector_idempotent(self):
-        proj = singlet().mat
-        assert np.abs(psd_sqrt(proj) - proj).max() < 1e-9
+        proj = singlet()
+        assert np.abs(psd_sqrt(proj) - proj.mat).max() < 1e-9
 
     def test_diagonal(self):
-        out = psd_sqrt(np.diag([4.0, 1.0]) / 5)
+        out = psd_sqrt(DensityMatrix(np.diag([4.0, 1.0]) / 5, (2,)))
         assert np.abs(out - np.diag([2.0, 1.0]) / np.sqrt(5)).max() < 1e-12
 
     def test_square_reproduces(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             m = random_psd(4, rng)
-            r = psd_sqrt(m)
+            r = psd_sqrt(DensityMatrix(m, (2, 2)))
             assert np.abs(r @ r - m).max() < 1e-9
 
     def test_rejects_negative(self):
         with pytest.raises(NotPSDError):
-            psd_sqrt(np.diag([1.0, -0.5]))
+            psd_sqrt((np.array([1.0, -0.5]), np.eye(2)))
 
 
 class TestDensityMatrix:
@@ -411,8 +398,6 @@ class TestHermitianCheck:
             assert _is_hermitian(m) is False
             with pytest.raises(NotHermitianError, match="^DensityMatrix: not Hermitian$"):
                 DensityMatrix(m, (2,))
-            with pytest.raises(NotHermitianError, match="^herm_eigen: deviation inf$"):
-                herm_eigen(m)
 
     @pytest.mark.parametrize(
         "entries",
@@ -430,7 +415,7 @@ class TestHermitianCheck:
         m = np.array(entries, dtype=complex)
         assert _is_hermitian(m) is False
         with pytest.raises(NotHermitianError):
-            herm_eigen(m)
+            DensityMatrix(m, (2,))
 
 
 _KINDS = st.sampled_from(["state", "scaled", "hermitian", "perturbed", "shape", "diag_edge"])
@@ -546,18 +531,23 @@ def _states(rng):
     return out
 
 
+def _fresh_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A new descending ``eigh`` of ``m``: the reference for a kept ``eig``."""
+    w, v = np.linalg.eigh(m)
+    return w[::-1], v[:, ::-1]
+
+
 class TestKeptDecomposition:
     def test_psd_sqrt_and_herm_eigen_bitwise_equal(self):
         for rho in _states(np.random.default_rng(7)):
-            w, v = herm_eigen(rho.mat)
-            w_kept, v_kept = herm_eigen(rho)
+            w, v = _fresh_eig(rho.mat)
+            w_kept, v_kept = rho.eig
             assert np.array_equal(w, w_kept) and np.array_equal(v, v_kept)
-            assert np.array_equal(psd_sqrt(rho), psd_sqrt(rho.mat))
-            assert np.array_equal(rho.eigenvalues(), w)
+            assert np.array_equal(psd_sqrt(rho), psd_sqrt((w, v)))
 
     def test_concurrence_bitwise_equal(self):
         for rho in _states(np.random.default_rng(8)):
-            root = psd_sqrt(rho.mat)
+            root = psd_sqrt(_fresh_eig(rho.mat))
             lam = np.sort(np.linalg.svd(root @ _YY @ root.T, compute_uv=False))[::-1]
             value = min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0)
             got = concurrence(rho)
@@ -578,7 +568,7 @@ class TestKeptDecomposition:
     def test_fidelity_bitwise_equal(self):
         states = _states(np.random.default_rng(9))
         for rho, sigma in zip(states, states[1:]):
-            root = psd_sqrt(rho.mat)
+            root = psd_sqrt(_fresh_eig(rho.mat))
             inner = root @ sigma.mat @ root
             w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
             want = min(max(float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2), 0.0), 1.0)
@@ -696,7 +686,7 @@ def _three_qubit_states():
     out = [DensityMatrix(random_psd(8, rng), (2, 2, 2)) for _ in range(30)]
     for T in (0.0, 0.5, 1.0, 1 / np.sqrt(3), 1 - 1 / np.sqrt(3)):
         for p in (0.0, 0.85, 1.0):
-            ps = couple_mixed_indistinguishability(
+            ps = couple(
                 singlet_standard(), mixed_env(), CouplingParams(T), IndistinguishabilityModel(p)
             )
             out.append(ps.rho)

@@ -16,6 +16,7 @@ from entconc.states import (
     singlet_standard,
     werner,
 )
+from helpers import sigma2
 
 
 class TestSinglet:
@@ -51,7 +52,7 @@ class TestMixedEnv:
         assert abs(purity(mixed_env()) - 0.5) < 1e-12
 
     def test_product_of_mixed_is_unentangled(self):
-        rho = mixed_env().tensor(mixed_env())
+        rho = DensityMatrix(kron(mixed_env().mat, mixed_env().mat), (2, 2))
         assert concurrence(rho).value == 0.0
 
 
@@ -100,9 +101,7 @@ class TestClassifyWerner:
 
 class TestIsXForm:
     def test_post_measurement_state(self):
-        from entconc.protocol import sigma2_closed_form
-
-        assert is_x_form(sigma2_closed_form(0.4))
+        assert is_x_form(sigma2(0.4))
 
     def test_maximally_mixed(self):
         assert is_x_form(DensityMatrix(np.eye(4) / 4, (2, 2)))

@@ -3,8 +3,8 @@ import pytest
 
 from entconc.errors import ConfigError
 from entconc.metrics import concurrence, fidelity
-from entconc.protocol import sigma2_closed_form, sigma3_closed_form
-from entconc.qmath import DensityMatrix, random_psd
+from entconc.protocol import sigma3_closed_form
+from entconc.qmath import DensityMatrix
 from entconc.states import singlet, singlet_standard, werner
 from entconc.tomography import (
     TomographySettings,
@@ -12,6 +12,7 @@ from entconc.tomography import (
     reconstruct,
     simulate_counts,
 )
+from helpers import random_psd, sigma2
 
 
 class TestSettings:
@@ -35,7 +36,7 @@ class TestIdealReconstruction:
             singlet(),
             singlet_standard(),
             werner(0.3),
-            sigma2_closed_form(0.4),
+            sigma2(0.4),
             sigma3_closed_form(0.4, 0.25),
         ],
         ids=["singlet", "singlet_std", "werner", "sigma2", "sigma3"],
@@ -59,7 +60,7 @@ class TestIdealReconstruction:
 class TestFiniteShots:
     def test_seeded_counts_reproducible(self):
         settings = default_settings(shots=5000)
-        rho = sigma2_closed_form(0.4)
+        rho = sigma2(0.4)
         c1 = simulate_counts(rho, settings, np.random.default_rng(7))
         c2 = simulate_counts(rho, settings, np.random.default_rng(7))
         assert np.array_equal(c1, c2)
@@ -72,7 +73,7 @@ class TestFiniteShots:
 
     def test_high_shot_fidelity(self):
         settings = default_settings(shots=10**5)
-        rho = sigma2_closed_form(0.4)
+        rho = sigma2(0.4)
         counts = simulate_counts(rho, settings, np.random.default_rng(9))
         rec = reconstruct(counts, settings)
         assert fidelity(rec, rho) > 0.99
@@ -85,11 +86,11 @@ class TestFiniteShots:
         for _ in range(10):
             counts = simulate_counts(singlet_standard(), settings, rng)
             rec = reconstruct(counts, settings)
-            assert rec.eigenvalues().min() >= -1e-12
+            assert rec.eig[0].min() >= -1e-12
 
     def test_concurrence_estimate_near_truth(self):
         settings = default_settings(shots=10**5)
-        rho = sigma2_closed_form(0.4)
+        rho = sigma2(0.4)
         counts = simulate_counts(rho, settings, np.random.default_rng(11))
         rec = reconstruct(counts, settings)
         assert concurrence(rec).value == pytest.approx(
