@@ -70,10 +70,13 @@ class CascadeCoefficients:
         return (self.a + self.b + self.c) / 2 ** (self.n + 1)
 
 
-def coefficients(params: CascadeParams) -> CascadeCoefficients:
+def coefficient_prefixes(params: CascadeParams) -> list[CascadeCoefficients]:
+    """The coefficients of each prefix of the chain, N = 1 .. n, from one
+    pass of the recurrence."""
     a = b = 1.0
     c = 0.0
     cross = 1.0
+    prefixes = []
     for i, t in enumerate(params.transmittivities):
         r = 1.0 - t
         if i == 0:
@@ -83,7 +86,13 @@ def coefficients(params: CascadeParams) -> CascadeCoefficients:
         a *= t**2
         b *= (t - r) ** 2
         cross *= t * (t - r)
-    return CascadeCoefficients(a, b, c, params.n, cross)
+        prefixes.append(CascadeCoefficients(a, b, c, i + 1, cross))
+    return prefixes
+
+
+def coefficients(params: CascadeParams) -> CascadeCoefficients:
+    """The whole chain's coefficients: the last of :func:`coefficient_prefixes`."""
+    return coefficient_prefixes(params)[-1]
 
 
 def closed_form_state(coeffs: CascadeCoefficients) -> DensityMatrix:

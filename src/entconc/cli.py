@@ -8,11 +8,19 @@ data; identical config + seed gives byte-identical files.
 Batch rule: ``protocol`` and ``cascade`` put each state whose concurrence
 is a table cell into the row itself, and :func:`_fill_concurrences` turns
 all of them into numbers with one :func:`entconc.metrics.concurrences` call
-per table.  Each state is built once: ``protocol`` couples and measures once
-per T, and its eps columns branch from one rebalanced state.
-``sweep-coupling`` couples its T grid in stacks of ``_SWEEP_CHUNK`` points
-(:func:`entconc.channel.couple_grid`); its pair concurrences are computed
-per point.
+per table.  Each state is built once.  ``sweep-coupling`` and ``protocol``
+run their T grid in stacks of ``_GRID_CHUNK`` points: ``sweep-coupling``
+couples each stack (:func:`entconc.channel.couple_grid`) and computes its
+pair concurrences per point; ``protocol`` couples and measures each stack
+(:func:`entconc.protocol.couple_measure_grid`) and traces out E as one
+stack (:func:`entconc.qmath.ptrace_stack`), then filters per T, with every
+eps column branching from one rebalanced state.  ``cascade`` reads the
+closed forms of every depth from one pass of the recurrence
+(:func:`entconc.cascade.coefficient_prefixes`).
+
+List keys take comma-separated floats, and blank entries are skipped.  An
+empty grid (``t_grid``, ``overlap_grid``) is a config error; an empty
+``eps_list`` means no filter columns (``protocol``, ``cascade``).
 
 Exit codes: 0 success, 2 config error, 3 numeric contract violation.
 """
@@ -30,6 +38,7 @@ from .cascade import (
     CascadeParams,
     closed_form_concurrence,
     closed_form_state,
+    coefficient_prefixes,
     coefficients,
     filtered_concurrence,
     filtered_success_prob,
@@ -41,13 +50,13 @@ from .fock import estimate_overlap, hom_coincidence_prob, hom_scan
 from .metrics import concurrences, fidelity, pair_concurrences
 from .protocol import (
     apply_filter,
+    couple_measure_grid,
     epsilon_filter,
     raw_attenuations,
     rebalance_filter,
-    run_protocol,
     sigma3_closed_form,
 )
-from .qmath import DensityMatrix
+from .qmath import DensityMatrix, ptrace_stack
 from .states import MIXED_ENV, SINGLET_STANDARD, singlet_standard
 from .tomography import default_settings, reconstruct, simulate_counts
 
@@ -104,13 +113,13 @@ def _grid(cfg: dict) -> np.ndarray:
     return np.array(vals)
 
 
-# T points per coupling stack in sweep-coupling.  A stack's working set
+# T points per stack in sweep-coupling and protocol.  A stack's working set
 # grows with its length, so a long grid is coupled in chunks of this size.
 # At 32 points a 1001-point sweep peaks at about 0.5 MB (tracemalloc), as
 # the point-by-point loop did; at 64 it is 0.8 MB, and one stack over the
 # whole grid takes 6 MB.  Longer stacks are not faster: the per-point
-# concurrences dominate.
-_SWEEP_CHUNK = 32
+# concurrences and filters dominate.
+_GRID_CHUNK = 32
 
 
 def _zero_crossing(ts, values, atol=1e-9):
@@ -126,8 +135,8 @@ def cmd_sweep_coupling(cfg: dict, out, fmt: str) -> list[str]:
     ts = _grid(cfg)
     model = IndistinguishabilityModel(float(cfg.get("p", 1.0)))
     rows = []
-    for start in range(0, len(ts), _SWEEP_CHUNK):
-        params = [CouplingParams(t) for t in ts[start : start + _SWEEP_CHUNK].tolist()]
+    for start in range(0, len(ts), _GRID_CHUNK):
+        params = [CouplingParams(t) for t in ts[start : start + _GRID_CHUNK].tolist()]
         for c, ps in zip(params, couple_grid(SINGLET_STANDARD, MIXED_ENV, params, model)):
             rows.append([c.T, *pair_concurrences(ps.rho), ps.success_prob])
     write_table(["T", "C_AB", "C_AE", "C_BE", "P_success"], rows, out, fmt)
@@ -171,32 +180,37 @@ def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
         header.append("C_raw_filter")
     rows = []
     traces = []
-    for t in map(float, ts):
-        # Couple and measure once; each filter column branches from here,
-        # and every eps column from one rebalanced state.
-        tr = run_protocol(t, p=p, feed_forward_enabled=feed)
-        measured = tr.final_state
-        row = [t, tr.steps[1].state.ptrace((0, 1)), measured, tr.cumulative_prob]
-        if abs(t - 0.5) < 1e-12:
-            row += [0.0] * len(eps_list)
-        elif eps_list:
-            rebalanced = rebalance_filter(measured, t).rho
-            row += [epsilon_filter(rebalanced, e).rho for e in eps_list]
-        if raw is not None:
-            row.append(apply_filter(measured, *raw).rho)
-        rows.append(row)
-        if dump:
-            traces.append(
-                {
-                    "T": t,
-                    "steps": [
-                        {"name": s.name, "prob": s.step_prob, "state": [
-                            [f"{z.real:.12g}{z.imag:+.12g}j" for z in rrow] for rrow in s.state.mat
-                        ]}
-                        for s in tr.steps
-                    ],
-                }
-            )
+    for start in range(0, len(ts), _GRID_CHUNK):
+        # Couple, measure and trace out E once per chunk; each filter column
+        # branches from the measured state, every eps column from one
+        # rebalanced state.
+        chunk = ts[start : start + _GRID_CHUNK].tolist()
+        front = couple_measure_grid(chunk, p, feed)
+        no_meas = ptrace_stack([tr.steps[1].state for tr in front], (0, 1))
+        for t, tr, marginal in zip(chunk, front, no_meas):
+            measured = tr.final_state
+            row = [t, marginal, measured, tr.cumulative_prob]
+            if abs(t - 0.5) < 1e-12:
+                row += [0.0] * len(eps_list)
+            elif eps_list:
+                rebalanced = rebalance_filter(measured, t).rho
+                row += [epsilon_filter(rebalanced, e).rho for e in eps_list]
+            if raw is not None:
+                row.append(apply_filter(measured, *raw).rho)
+            rows.append(row)
+            if dump:
+                traces.append(
+                    {
+                        "T": t,
+                        "steps": [
+                            {"name": s.name, "prob": s.step_prob, "state": [
+                                [f"{z.real:.12g}{z.imag:+.12g}j" for z in rrow]
+                                for rrow in s.state.mat
+                            ]}
+                            for s in tr.steps
+                        ],
+                    }
+                )
     write_table(header, _fill_concurrences(rows), out, fmt)
     notes = []
     if p < 1.0:
@@ -228,11 +242,11 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
     # A_N only shrinks with N, so the one filtration fails iff a prefix's would.
     # Only C_sim sees p: C_closed, P_N and the C_filt_eps_*/P_III_eps_* columns
     # are the p = 1 closed forms of the cascade module, whatever p is.
-    steps = simulate_cascade(CascadeParams(tuple(t_all[:n_max]), eps=1.0), p=p).steps
+    params = CascadeParams(tuple(t_all[:n_max]), eps=1.0)
+    steps = simulate_cascade(params, p=p).steps
     measured = {s.name: s.state for s in steps}
     rows = []
-    for n in range(1, n_max + 1):
-        co = coefficients(CascadeParams(tuple(t_all[:n])))
+    for n, co in enumerate(coefficient_prefixes(params), start=1):
         row = [n, closed_form_concurrence(co), measured[f"measured_{n}"], co.p_success]
         for e in eps_list:
             row += [filtered_concurrence(co, e), filtered_success_prob(co, e)]
@@ -243,6 +257,8 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
 
 def cmd_hom(cfg: dict, out, fmt: str) -> list[str]:
     overlaps = _floats(cfg, "overlap_grid", "0,0.25,0.5,0.85,1")
+    if not overlaps:
+        raise ConfigError("empty overlap grid")
     t = float(cfg.get("t", 0.5))
     rows = []
     for ov in overlaps:

@@ -12,6 +12,14 @@ P_II = (T^2 + (T-R)^2 + R^2) / 4 and C_II = T |T-R| / (2 P_II), is the N = 1
 case of :mod:`entconc.cascade` (``closed_form_state``, ``p_success`` and
 ``closed_form_concurrence`` of ``coefficients(CascadeParams((T,)))``).
 
+Stack contract: :func:`couple_measure_grid` runs the coupling (I) and the
+measurement (II) of a whole T grid, as one :func:`entconc.channel.couple_grid`
+stack and one :func:`measure_env_stack`, whose E blocks are normalized by
+one :func:`entconc.qmath.normalize_stack` call.  :func:`measure_env` and
+:func:`run_protocol` are their k = 1 cases, and each state and probability
+is bitwise the one its T gets alone; a failing stack raises what its first
+bad state raises alone.  The filters (III) run per state.
+
 Closed forms implemented here (checked against the simulator), after the
 rebalancing + epsilon filters:
 
@@ -30,13 +38,14 @@ branch, matching the N-coupling rule |H>_A -> sqrt(B_N/A_N) |H>_A.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple
+from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple_grid
 from .errors import DegenerateCouplingError, DimensionError, EntconcError
-from .qmath import DensityMatrix, kron, normalize
+from .qmath import DensityMatrix, kron, normalize, normalize_stack
 from .states import MIXED_ENV, SIGMA_X, SINGLET_STANDARD
 
 # A party's filter: amplitude factors (h, v) on |H> and |V>.
@@ -79,19 +88,35 @@ class ProtocolTrace:
 
 
 def measure_env(state: PostSelectedState, result: str) -> PostSelectedState:
-    """Project the environment qubit onto |H> or |V>, trace it out.
+    """Project the environment qubit onto |H> or |V>, trace it out:
+    :func:`measure_env_stack` with one state.
 
     The returned success probability is the input one multiplied by the
     outcome probability, so the H branch of the ideal chain carries exactly
     P_II.
     """
-    if state.rho.dims != (2, 2, 2):
-        raise DimensionError(f"measure_env: dims {state.rho.dims}, expected 3 qubits")
+    return measure_env_stack([state], result)[0]
+
+
+def measure_env_stack(states: Sequence[PostSelectedState], result: str) -> list[PostSelectedState]:
+    """:func:`measure_env` of each three-qubit state, as one stack of E
+    blocks normalized by one :func:`entconc.qmath.normalize_stack` call."""
+    for state in states:
+        if state.rho.dims != (2, 2, 2):
+            raise DimensionError(f"measure_env: dims {state.rho.dims}, expected 3 qubits")
+    if not states:
+        return []
     i = {"H": 0, "V": 1}[result]
-    # The + 0.0 turns -0.0 into +0.0, the sign the projector product gives.
-    block = state.rho.mat.reshape(4, 2, 4, 2)[:, i, :, i] + 0.0
-    rho, prob = normalize(block, (2, 2))
-    return PostSelectedState(rho, state.success_prob * prob)
+    # One state is stacked as a view; the blocks below are a new array.
+    if len(states) == 1:
+        mats = states[0].rho.mat[None]
+    else:
+        mats = np.array([state.rho.mat for state in states])
+    # Rows and columns with E = i: the [:, i, :, i] block of each state
+    # reshaped to (4, 2, 4, 2).  The + 0.0 turns -0.0 into +0.0, the sign
+    # the projector product gives.
+    rhos, probs = normalize_stack(mats[:, i::2, i::2] + 0.0, (2, 2))
+    return [PostSelectedState(rho, s.success_prob * w) for rho, s, w in zip(rhos, states, probs)]
 
 
 def outcome_probabilities(state: PostSelectedState) -> tuple[float, float]:
@@ -169,7 +194,7 @@ def epsilon_filter(state: DensityMatrix, eps: float) -> PostSelectedState:
 
 def sigma3_params(T: float) -> tuple[float, float]:
     """(alpha, delta) of the filtered-state closed form at this T."""
-    R = 1.0 - T
+    R = CouplingParams(T).R
     d = abs(2.0 * T - 1.0)
     if T > d:
         return (2.0 * T - 1.0) ** 2, R**2
@@ -212,30 +237,42 @@ def run_protocol(
     feed_forward_enabled: bool = False,
     raw_filters: tuple[Amplitudes, Amplitudes] | None = None,
 ) -> ProtocolTrace:
-    """Chain coupling, environment measurement and filtration of the singlet.
+    """Chain coupling, environment measurement and filtration of the singlet:
+    :func:`couple_measure_grid` at this one T, then :func:`filtration`."""
+    if eps is not None and raw_filters is not None:
+        raise EntconcError("run_protocol: give either eps or raw_filters, not both")
+    trace = couple_measure_grid((T,), p, feed_forward_enabled)[0]
+    trace.steps += filtration(trace.final_state, T, eps, raw_filters)
+    return trace
+
+
+def couple_measure_grid(
+    ts: Sequence[float], p: float = 1.0, feed_forward_enabled: bool = False
+) -> list[ProtocolTrace]:
+    """The input, coupled and measured stages of :func:`run_protocol` at
+    each T: one :func:`entconc.channel.couple_grid` stack, then one
+    :func:`measure_env_stack`.  The stack's working set grows with
+    ``len(ts)``: chunk long grids.
 
     The filtered chain follows the H measurement branch.  With feed-forward
     enabled the V branch, which :func:`feed_forward` maps exactly onto the H
     branch, is kept: its weight adds to the measured step's probability,
     and no V state is built.  Without it the branch is discarded and the
-    cumulative probability is halved.  The filter stages come from
-    :func:`filtration`.
+    cumulative probability is halved.
     """
-    if eps is not None and raw_filters is not None:
-        raise EntconcError("run_protocol: give either eps or raw_filters, not both")
-    trace = ProtocolTrace()
-    trace.record("input", SINGLET_STANDARD, 1.0)
-
-    coupled = couple(SINGLET_STANDARD, MIXED_ENV, CouplingParams(T), IndistinguishabilityModel(p))
-    trace.record("coupled", coupled.rho, coupled.success_prob)
-
-    prob_h, prob_v = outcome_probabilities(coupled)
-    h_branch = measure_env(coupled, "H")
-    # The correction is unitary and both branches have unit trace, so the
-    # kept mixture's weight is prob_h + prob_v.
-    trace.record("measured", h_branch.rho, prob_h + prob_v if feed_forward_enabled else prob_h)
-    trace.steps += filtration(h_branch.rho, T, eps, raw_filters)
-    return trace
+    params = [CouplingParams(t) for t in ts]
+    coupled = couple_grid(SINGLET_STANDARD, MIXED_ENV, params, IndistinguishabilityModel(p))
+    traces = []
+    for ps, h_branch in zip(coupled, measure_env_stack(coupled, "H")):
+        prob_h, prob_v = outcome_probabilities(ps)
+        trace = ProtocolTrace()
+        trace.record("input", SINGLET_STANDARD, 1.0)
+        trace.record("coupled", ps.rho, ps.success_prob)
+        # The correction is unitary and both branches have unit trace, so the
+        # kept mixture's weight is prob_h + prob_v.
+        trace.record("measured", h_branch.rho, prob_h + prob_v if feed_forward_enabled else prob_h)
+        traces.append(trace)
+    return traces
 
 
 def filtration(

@@ -29,12 +29,15 @@ one :func:`_validate` call; each state keeps its slices of the quotient and
 of ``(w, V)``.  :func:`normalize` is its k = 1 case, and the constructor
 sets up its one state the same way (``_settle``), so every state is
 validated exactly once.  A failing stack raises what a loop over its
-operators raises at the first bad one.
+operators raises at the first bad one.  :func:`ptrace_stack` builds the
+marginals of k states the same way, and ``DensityMatrix.ptrace`` is its
+k = 1 case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +72,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 
+    ``rho`` is one ``(d, d)`` matrix or a ``(k, d, d)`` stack of them.
     ``dims`` gives the local dimension of each subsystem in tensor order;
     ``keep`` is a set of subsystem indices to retain (order preserved as in
     ``dims``).  Satisfies Tr[(X_keep x I) rho] = Tr[X_keep ptrace(rho)].
@@ -76,18 +80,20 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...])
     rho = np.asarray(rho, dtype=complex)
     n = len(dims)
     d = math.prod(dims)
-    if rho.shape != (d, d):
+    lead = rho.shape[:-2]
+    if rho.shape[-2:] != (d, d) or len(lead) > 1:
         raise DimensionError(f"partial_trace: shape {rho.shape} vs dims {dims}")
     keep = tuple(sorted(set(keep)))
     if not keep or any(k < 0 or k >= n for k in keep):
         raise DimensionError(f"partial_trace: invalid keep set {keep} for {n} subsystems")
-    tensor = rho.reshape(dims + dims)
+    tensor = rho.reshape(lead + dims + dims)
     traced = [i for i in range(n) if i not in keep]
     # Trace the dropped subsystems one at a time, highest axis first.
     for i in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=i, axis2=i + tensor.ndim // 2)
+        half = (tensor.ndim - len(lead)) // 2
+        tensor = np.trace(tensor, axis1=len(lead) + i, axis2=len(lead) + i + half)
     dk = math.prod(dims[i] for i in keep)
-    return tensor.reshape(dk, dk)
+    return tensor.reshape(lead + (dk, dk))
 
 
 # Entries whose real and imaginary parts are at most this large cannot
@@ -195,9 +201,8 @@ class DensityMatrix:
         return self.mat.shape[0]
 
     def ptrace(self, keep: tuple[int, ...]) -> "DensityMatrix":
-        keep = tuple(sorted(set(keep)))
-        out = partial_trace(self.mat, self.dims, keep)
-        return DensityMatrix(out, tuple(self.dims[i] for i in keep))
+        """The ``keep`` marginal: :func:`ptrace_stack` with k = 1."""
+        return ptrace_stack([self], keep)[0]
 
 
 def _settle(states: list[DensityMatrix], mats: np.ndarray, dims: tuple[int, ...]):
@@ -230,7 +235,7 @@ def normalize_stack(
     # of the same order, so only a genuinely vanishing operator is rejected.
     # Complex division by w multiplies by 1/w, which overflows for a
     # subnormal w: such a weight is zero measure too.
-    scales = np.abs(unnorm.reshape(len(unnorm), unnorm[0].size)).max(-1).tolist()
+    scales = np.abs(unnorm).max((-2, -1)).tolist()
     # k counts the operators before the first one with zero measure or a
     # NaN weight or entry (NaN fails both comparisons).
     k = 0
@@ -258,3 +263,22 @@ def normalize(unnorm: np.ndarray, dims: tuple[int, ...]) -> tuple[DensityMatrix,
     :func:`normalize_stack` with k = 1."""
     (rho,), (weight,) = normalize_stack(unnorm[None], dims)
     return rho, weight
+
+
+def ptrace_stack(states: Sequence[DensityMatrix], keep: tuple[int, ...]) -> list[DensityMatrix]:
+    """The ``keep`` marginal of each state, traced as one stack and validated
+    with one :func:`_validate` call; each is bitwise the marginal its state
+    gives alone.  Every state must have the first one's dims.  A failing
+    stack raises what its first bad marginal raises alone."""
+    if not states:
+        return []
+    dims = states[0].dims
+    for rho in states:
+        if rho.dims != dims:
+            raise DimensionError(f"ptrace_stack: dims {rho.dims} vs {dims}")
+    keep = tuple(sorted(set(keep)))
+    # partial_trace returns a new array, so the marginals own it.
+    mats = partial_trace(np.array([rho.mat for rho in states]), dims, keep)
+    marginals = [object.__new__(DensityMatrix) for _ in states]
+    _settle(marginals, mats, tuple(dims[i] for i in keep))
+    return marginals

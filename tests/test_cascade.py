@@ -8,6 +8,7 @@ from entconc.cascade import (
     cascade_filter,
     closed_form_concurrence,
     closed_form_state,
+    coefficient_prefixes,
     coefficients,
     filtered_concurrence,
     filtered_success_prob,
@@ -61,6 +62,25 @@ class TestCoefficients:
         coeffs = coefficients(CascadeParams((1.0, 1.0, 1.0)))
         assert (coeffs.a, coeffs.b, coeffs.c) == (1.0, 1.0, 0.0)
         assert closed_form_concurrence(coeffs) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ts=st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, float(SQ3), float(1 - SQ3)]) | st.floats(0.0, 1.0),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @example(ts=[0.4] * 24)
+    def test_prefixes_are_the_shorter_chains(self, ts):
+        # One pass gives, bit for bit, what each prefix's own chain gives.
+        def bits(co):
+            return co.n, [x.hex() for x in (co.a, co.b, co.c, co.cross_signed)]
+
+        prefixes = coefficient_prefixes(CascadeParams(tuple(ts)))
+        assert [co.n for co in prefixes] == list(range(1, len(ts) + 1))
+        for n, co in enumerate(prefixes, start=1):
+            assert bits(co) == bits(coefficients(CascadeParams(tuple(ts[:n]))))
 
     def test_rejects_empty_and_bad_eps(self):
         with pytest.raises(EntconcError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import entconc
-from entconc import protocol
+from entconc import protocol, qmath
 from entconc.cascade import (
     CascadeParams,
     coefficients,
@@ -18,7 +18,7 @@ from entconc.cascade import (
     filtered_success_prob,
     simulate_cascade,
 )
-from entconc.cli import main
+from entconc.cli import _GRID_CHUNK, main
 from entconc.metrics import concurrence
 from entconc.protocol import raw_attenuations, run_protocol
 
@@ -316,7 +316,43 @@ def test_blank_list_entries_are_skipped(argv, key, value, capsys):
     assert _run(argv + ["--set", f"{key}={value}"], capsys) == want
 
 
+@pytest.mark.parametrize(
+    "argv, key, message",
+    [
+        (["sweep-coupling"], "t_grid", "empty T grid"),
+        (["protocol"], "t_grid", "empty T grid"),
+        (["hom"], "overlap_grid", "empty overlap grid"),
+    ],
+)
+@pytest.mark.parametrize("value", ["", " , ,"])
+def test_empty_grid_is_a_config_error(argv, key, message, value, capsys):
+    assert _run(argv + ["--set", f"{key}={value}"], capsys) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, n_plain",
+    [
+        (["protocol", "--set", "t_grid=0.4,0.7", "--set", "p=0.85"], 4),
+        (["cascade", "--set", "t=0.4", "--set", "n_max=3"], 4),
+    ],
+)
+def test_empty_eps_list_means_no_filter_columns(argv, n_plain, capsys):
+    code, out, _ = _run(argv + ["--set", "eps_list="], capsys)
+    assert code == 0
+    _, with_filters, _ = _run(argv, capsys)
+    # The same table without its filter columns.
+    want = [",".join(line.split(",")[:n_plain]) for line in with_filters.splitlines()[:3]]
+    assert out.splitlines()[:3] == want
+    assert len(out.splitlines()[0].split(",")) == n_plain
+
+
 class TestTomoCommand:
+    @pytest.mark.parametrize("state", ["sigma2", "sigma3"])
+    def test_unphysical_t_rejected(self, state, capsys):
+        code, out, err = _run(["tomo", "--set", f"state={state}", "--set", "t=1.5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: transmittivity 1.5 outside [0, 1]\n"
+
     def test_ideal_fidelity(self, tmp_path, capsys):
         out = tmp_path / "tomo.csv"
         code, _, _ = _run(["tomo", "--out", str(out), "--set", "state=sigma2"], capsys)
@@ -396,3 +432,30 @@ class TestInterface:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
+
+
+class TestProtocolStacks:
+    """protocol couples, measures and traces out E once per chunk of T values;
+    only the filters run per T."""
+
+    @pytest.mark.parametrize(
+        "steps, eps_list, per_t", [(20, "", 0), (20, "0.25,0.05", 3), (197, "", 0)]
+    )
+    def test_validations_per_chunk(self, steps, eps_list, per_t, monkeypatch, capsys):
+        sizes = []
+        real = qmath._validate
+
+        def counting(mats, dims):
+            sizes.append(len(mats))
+            return real(mats, dims)
+
+        monkeypatch.setattr(qmath, "_validate", counting)
+        argv = ["protocol", "--set", "t_min=0.01", "--set", "t_max=0.99",
+                "--set", f"t_steps={steps}", "--set", f"eps_list={eps_list}", "--set", "p=0.85"]
+        code, _, err = _run(argv, capsys)
+        assert code == 0, err
+        chunks = -(-steps // _GRID_CHUNK)
+        # Coupling, measurement and the C_no_meas marginals: one stack each
+        # per chunk; rebalance and eps filters: one state each per T.
+        assert len(sizes) == 3 * chunks + per_t * steps
+        assert sum(sizes) == 3 * steps + per_t * steps

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entconc import qmath
 from entconc.cascade import CascadeParams, coefficients
 from entconc.channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple
-from entconc.errors import DegenerateCouplingError, DimensionError, EntconcError
+from entconc.errors import (
+    DegenerateCouplingError,
+    DimensionError,
+    EntconcError,
+    NotPSDError,
+    ZeroProbabilityError,
+)
 from entconc.metrics import concurrence, fidelity
 from entconc.protocol import (
     apply_filter,
     c3_closed_form,
+    couple_measure_grid,
     epsilon_filter,
     feed_forward,
     measure_env,
+    measure_env_stack,
     outcome_probabilities,
     p3_closed_form,
     raw_attenuations,
@@ -22,7 +30,7 @@ from entconc.protocol import (
     run_protocol,
     sigma3_closed_form,
 )
-from entconc.qmath import DensityMatrix, kron, normalize, partial_trace
+from entconc.qmath import DensityMatrix, kron, normalize, partial_trace, ptrace_stack
 from entconc.states import KET_H, KET_V, is_x_form, mixed_env, singlet_standard
 from helpers import random_psd, sigma2
 
@@ -340,3 +348,139 @@ class TestRunProtocol:
     def test_eps_and_raw_mutually_exclusive(self):
         with pytest.raises(EntconcError):
             run_protocol(0.4, eps=0.2, raw_filters=raw_attenuations(0.1, 0.1))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_state(got, want):
+    # Same arithmetic, so the same bits: matrix, dims and the decomposition
+    # kept by validation.
+    assert got.dims == want.dims
+    assert _same_bits(got.mat, want.mat)
+    assert _same_bits(got.eig[0], want.eig[0])
+    assert _same_bits(got.eig[1], want.eig[1])
+    assert not got.mat.flags.writeable
+
+
+def _first_error(fn, items):
+    """(type, message) of the first error ``fn`` raises over ``items`` one
+    at a time, or None."""
+    for item in items:
+        try:
+            fn(item)
+        except EntconcError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+_SQ3 = float(1.0 / np.sqrt(3))
+_T = st.sampled_from([0.0, 0.5, 1.0, _SQ3]) | st.floats(0.0, 1.0)
+_KEEPS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+class TestStackedFront:
+    """The grid front, the stacked measurement and the stacked marginals are
+    bitwise the per-T run_protocol, measure_env and ptrace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ts=st.lists(_T, min_size=1, max_size=40),
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        feed=st.booleans(),
+    )
+    @example(ts=[0.0, 0.5, 1.0, _SQ3], p=1.0, feed=False)
+    @example(ts=[0.0, 0.5, 1.0, _SQ3], p=0.85, feed=True)
+    @example(ts=[0.5, 0.0], p=0.0, feed=True)
+    def test_grid_is_the_single_protocol(self, ts, p, feed):
+        traces = couple_measure_grid(ts, p, feed)
+        assert len(traces) == len(ts)
+        for T, got in zip(ts, traces):
+            want = run_protocol(T, p=p, feed_forward_enabled=feed)
+            assert [s.name for s in got.steps] == ["input", "coupled", "measured"]
+            assert [s.name for s in want.steps] == ["input", "coupled", "measured"]
+            for g, w in zip(got.steps, want.steps):
+                assert g.step_prob == w.step_prob
+                _assert_same_state(g.state, w.state)
+        coupled = [PostSelectedState(tr.steps[1].state, tr.steps[1].step_prob) for tr in traces]
+        for result in ("H", "V"):
+            for g, c in zip(measure_env_stack(coupled, result), coupled):
+                w = measure_env(c, result)
+                assert g.success_prob == w.success_prob
+                _assert_same_state(g.rho, w.rho)
+        states = [c.rho for c in coupled]
+        for keep in _KEEPS:
+            for g, rho in zip(ptrace_stack(states, keep), states):
+                want = DensityMatrix(partial_trace(rho.mat, (2, 2, 2), keep), g.dims)
+                _assert_same_state(g, want)
+                _assert_same_state(rho.ptrace(keep), want)
+
+    def test_empty_stacks(self):
+        assert couple_measure_grid([]) == []
+        assert measure_env_stack([], "H") == []
+        assert ptrace_stack([], (0,)) == []
+
+
+def _abe(ab, env):
+    return DensityMatrix(kron(ab, env), (2, 2, 2))
+
+
+# An 8x8 state whose E = V block is diag(-0.9e-10, 2e-10, 0, 0): valid
+# (least eigenvalue -0.9e-10), but the V branch normalizes to a negative
+# eigenvalue of -0.82.
+_NEGATIVE_V_BLOCK = np.diag([0.5, -0.9e-10, 0.5 - 1.1e-10, 2e-10, 0, 0, 0, 0]).astype(complex)
+
+
+def _negative_marginal(x):
+    """A valid state whose A x B marginal has the eigenvalue -2x, below
+    -ATOL: its two negative entries add up in the partial trace."""
+    m = np.diag([-x, -x, 0.5 + x, 0, 0, 0.5 + x, 0, 0]).astype(complex)
+    return DensityMatrix(m, (2, 2, 2))
+
+
+class TestFailingStacks:
+    """A failing stack raises what its first bad state raises alone."""
+
+    @pytest.mark.parametrize("result", ["H", "V"])
+    def test_measurement(self, result):
+        rng = np.random.default_rng(7)
+        good = _abe(random_psd(4, rng), np.eye(2) / 2)
+        only_h = _abe(random_psd(4, rng), np.diag([1.0, 0.0]))
+        only_v = _abe(random_psd(4, rng), np.diag([0.0, 1.0]))
+        negative = DensityMatrix(_NEGATIVE_V_BLOCK, (2, 2, 2))
+        for stack in (
+            [good, only_h, negative],
+            [good, negative, only_h],
+            [only_v, good, negative],
+            [good, negative, only_v],
+        ):
+            states = [PostSelectedState(rho, 0.5) for rho in stack]
+            error = _first_error(lambda s: measure_env(s, result), states)
+            if error is None:
+                assert len(measure_env_stack(states, result)) == len(states)
+                continue
+            assert error[0] in (ZeroProbabilityError, NotPSDError)
+            with pytest.raises(error[0]) as info:
+                measure_env_stack(states, result)
+            assert str(info.value) == error[1]
+
+    def test_measurement_rejects_two_qubit_state(self):
+        with pytest.raises(DimensionError, match="measure_env: dims"):
+            measure_env_stack([PostSelectedState(singlet_standard(), 1.0)], "H")
+
+    def test_marginals(self):
+        good = _abe(random_psd(4, np.random.default_rng(8)), np.eye(2) / 2)
+        first, second = _negative_marginal(0.9e-10), _negative_marginal(0.6e-10)
+        for stack in ([good, first, second], [good, second, first]):
+            error = _first_error(lambda rho: rho.ptrace((0, 1)), stack)
+            assert error[0] is NotPSDError
+            with pytest.raises(NotPSDError) as info:
+                ptrace_stack(stack, (0, 1))
+            assert str(info.value) == error[1]
+        # The E marginal of the same states is valid.
+        assert len(ptrace_stack([good, first, second], (2,))) == 3
+
+    def test_marginals_need_one_dims(self):
+        with pytest.raises(DimensionError, match="ptrace_stack: dims"):
+            ptrace_stack([_abe(np.eye(4) / 4, np.eye(2) / 2), singlet_standard()], (0,))
