@@ -90,17 +90,6 @@ def pair_concurrences(rho: DensityMatrix) -> tuple[float, float, float]:
     return c01.value, c02.value, c12.value
 
 
-def concurrence_x_form(rho: DensityMatrix) -> float:
-    """Analytic concurrence for X-form states.
-
-    C = 2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44)).
-    """
-    m = rho.mat
-    inner = abs(m[1, 2]) - np.sqrt(max(m[0, 0].real, 0.0) * max(m[3, 3].real, 0.0))
-    outer = abs(m[0, 3]) - np.sqrt(max(m[1, 1].real, 0.0) * max(m[2, 2].real, 0.0))
-    return float(max(0.0, 2.0 * inner, 2.0 * outer))
-
-
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
     if rho.dim != sigma.dim:

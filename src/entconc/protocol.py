@@ -5,7 +5,8 @@ result i (H -> 0, V -> 1) keeps the i block ``rho[:, i, :, i]`` of the
 (A, B, E) state reshaped to (4, 2, 4, 2).  A local filter gives each party
 an amplitude pair (h, v) in [0, 1], |H> -> h|H> and |V> -> v|V> (a partial
 polarizer); (1, 1) is no filter.  With k = kron(alice, bob) the filtered
-state is k_i rho_ij k_j, and :func:`apply_filter` is the one filter kernel.
+state is k_i rho_ij k_j, and :func:`apply_filter_stack` is the one filter
+kernel.
 
 The measured state sigma_II = {T^2, -T(T-R), (T-R)^2, R^2} / (4 P_II), with
 P_II = (T^2 + (T-R)^2 + R^2) / 4 and C_II = T |T-R| / (2 P_II), is the N = 1
@@ -18,7 +19,12 @@ stack and one :func:`measure_env_stack`, whose E blocks are normalized by
 one :func:`entconc.qmath.normalize_stack` call.  :func:`measure_env` and
 :func:`run_protocol` are their k = 1 cases, and each state and probability
 is bitwise the one its T gets alone; a failing stack raises what its first
-bad state raises alone.  The filters (III) run per state.
+bad state raises alone.  The filters (III) follow the same contract:
+:func:`apply_filter_stack` filters k states, each with its own amplitude
+pairs, and normalizes them with one ``normalize_stack`` call.
+:func:`apply_filter` is its k = 1 case, and :func:`rebalance_filter`,
+:func:`epsilon_filter` and :func:`filtration` take stacks; a stack that
+fails is filtered again one state at a time (:func:`stacked`).
 
 Closed forms implemented here (checked against the simulator), after the
 rebalancing + epsilon filters:
@@ -38,6 +44,7 @@ branch, matching the N-coupling rule |H>_A -> sqrt(B_N/A_N) |H>_A.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -45,8 +52,8 @@ import numpy as np
 
 from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple_grid
 from .errors import DegenerateCouplingError, DimensionError, EntconcError
-from .qmath import DensityMatrix, kron, normalize, normalize_stack
-from .states import MIXED_ENV, SIGMA_X, SINGLET_STANDARD
+from .qmath import DensityMatrix, normalize_stack
+from .states import MIXED_ENV, SINGLET_STANDARD
 
 # A party's filter: amplitude factors (h, v) on |H> and |V>.
 Amplitudes = tuple[float, float]
@@ -129,40 +136,56 @@ def outcome_probabilities(state: PostSelectedState) -> tuple[float, float]:
     return float((d[0] + d[2]) + (d[4] + d[6])), float((d[1] + d[3]) + (d[5] + d[7]))
 
 
+def stacked(stage):
+    """Give ``stage`` the stack contract of :func:`entconc.qmath._validate`.
+    Each positional argument of ``stage`` holds one entry per state, and
+    its keyword arguments are shared.  If the stack raises, its states are
+    run one at a time, in order, so the error is the one that the first
+    bad state raises alone."""
+
+    @functools.wraps(stage)
+    def run(*columns, **shared):
+        try:
+            return stage(*columns, **shared)
+        except EntconcError:
+            if len(columns[0]) > 1:
+                for entries in zip(*columns):
+                    stage(*([x] for x in entries), **shared)
+            raise
+
+    return run
+
+
+@stacked
+def apply_filter_stack(
+    states: Sequence[DensityMatrix], alice: Sequence[Amplitudes], bob: Sequence[Amplitudes]
+) -> list[PostSelectedState]:
+    """Local attenuation of each two-qubit state, state i by the amplitude
+    pairs ``alice[i]`` and ``bob[i]`` (each ``(h, v)`` in [0, 1]), as one
+    stack normalized by one :func:`entconc.qmath.normalize_stack` call;
+    trace-decreasing, probabilistic."""
+    for pair in (*alice, *bob):
+        for factor in pair:
+            if not 0.0 <= factor <= 1.0:
+                raise EntconcError(f"filter factor {factor} outside [0, 1]")
+    if not states:
+        return []
+    # kk[n] = kron(alice[n], bob[n]); kk_i rho_ij kk_j is K rho K^dag for the
+    # diagonal K = diag(kk).  The + 0.0 gives each zero entry the sign the
+    # matrix product gives it.
+    a, b = np.array(alice, dtype=float), np.array(bob, dtype=float)
+    kk = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
+    unnorm = (kk[:, :, None] * np.array([rho.mat for rho in states])) * kk[:, None, :] + 0.0
+    rhos, probs = normalize_stack(unnorm, (2, 2))
+    return [PostSelectedState(rho, prob) for rho, prob in zip(rhos, probs)]
+
+
 def apply_filter(
     state: DensityMatrix, alice: Amplitudes = (1.0, 1.0), bob: Amplitudes = (1.0, 1.0)
 ) -> PostSelectedState:
-    """Local attenuation on a two-qubit state; trace-decreasing, probabilistic.
-
-    ``alice`` and ``bob`` are amplitude pairs ``(h, v)`` in [0, 1]."""
-    for factor in (*alice, *bob):
-        if not 0.0 <= factor <= 1.0:
-            raise EntconcError(f"filter factor {factor} outside [0, 1]")
-    k = np.multiply.outer(alice, bob).ravel()
-    # k_i rho_ij k_j is K rho K^dag for the diagonal K = diag(k); the + 0.0
-    # gives each zero entry the sign the matrix product gives it.
-    unnorm = (k[:, None] * state.mat) * k + 0.0
-    rho, prob = normalize(unnorm, (2, 2))
-    return PostSelectedState(rho, prob)
-
-
-def feed_forward(v_branch: DensityMatrix) -> tuple[DensityMatrix, np.ndarray]:
-    """Local correction X_A x X_B of the V measurement branch.
-
-    Returns the corrected state and the 4x4 correcting unitary.
-
-    X_A x X_B x X_E leaves the coupled three-qubit state invariant whenever
-    the two-qubit input is X x X invariant (the singlet, any Werner state):
-    the unpolarized environment I/2 is invariant under X_E, and both coupling
-    maps on (B, E), the interfering block and the distinguishable Kraus pair
-    {T I, -R SWAP}, commute with X_B x X_E.  Projecting E onto |V> = X|H>
-    therefore gives exactly X_A X_B (H branch) X_A X_B, so the correction
-    maps the V branch onto the H branch with fidelity 1 for every T and p.
-    For other inputs the correction is still applied but carries no such
-    guarantee.
-    """
-    u = kron(SIGMA_X, SIGMA_X)
-    return DensityMatrix(u @ v_branch.mat @ u.conj().T, (2, 2)), u
+    """Local attenuation on a two-qubit state: :func:`apply_filter_stack`
+    with one state."""
+    return apply_filter_stack([state], [alice], [bob])[0]
 
 
 def rebalance_branch(T: float) -> Amplitudes:
@@ -176,17 +199,22 @@ def rebalance_branch(T: float) -> Amplitudes:
     return 1.0, T / d
 
 
-def rebalance_filter(state: DensityMatrix, T: float) -> PostSelectedState:
-    """Balance the central populations of a sigma_II-form state."""
-    return apply_filter(state, alice=rebalance_branch(T))
+@stacked
+def rebalance_filter(
+    states: Sequence[DensityMatrix], ts: Sequence[float]
+) -> list[PostSelectedState]:
+    """Balance the central populations of each sigma_II-form state at its T,
+    as one filter stack."""
+    return apply_filter_stack(states, [rebalance_branch(t) for t in ts], [(1.0, 1.0)] * len(ts))
 
 
-def epsilon_filter(state: DensityMatrix, eps: float) -> PostSelectedState:
-    """Attenuate the V component on both modes: |V> -> sqrt(eps) |V>."""
+def epsilon_filter(states: Sequence[DensityMatrix], eps: float) -> list[PostSelectedState]:
+    """Attenuate the V component on both modes of each state, |V> ->
+    sqrt(eps) |V>, as one filter stack."""
     if not 0.0 < eps <= 1.0:
         raise EntconcError(f"epsilon {eps} outside (0, 1]")
-    root = np.sqrt(eps)
-    return apply_filter(state, (1.0, root), (1.0, root))
+    pairs = [(1.0, np.sqrt(eps))] * len(states)
+    return apply_filter_stack(states, pairs, pairs)
 
 
 # --- closed forms -----------------------------------------------------------
@@ -242,7 +270,9 @@ def run_protocol(
     if eps is not None and raw_filters is not None:
         raise EntconcError("run_protocol: give either eps or raw_filters, not both")
     trace = couple_measure_grid((T,), p, feed_forward_enabled)[0]
-    trace.steps += filtration(trace.final_state, T, eps, raw_filters)
+    eps_list = () if eps is None else (eps,)
+    steps = filtration([trace.final_state], [T], eps_list=eps_list, raw_filters=raw_filters)
+    trace.steps += steps[0]
     return trace
 
 
@@ -255,10 +285,19 @@ def couple_measure_grid(
     ``len(ts)``: chunk long grids.
 
     The filtered chain follows the H measurement branch.  With feed-forward
-    enabled the V branch, which :func:`feed_forward` maps exactly onto the H
-    branch, is kept: its weight adds to the measured step's probability,
-    and no V state is built.  Without it the branch is discarded and the
-    cumulative probability is halved.
+    enabled the V branch is kept too, corrected by the local unitary
+    X_A x X_B: its weight adds to the measured step's probability, and no V
+    state is built.  Without it the branch is discarded and the cumulative
+    probability is halved.
+
+    The correction maps the V branch exactly onto the H branch for every T
+    and p.  X_A x X_B x X_E leaves the coupled three-qubit state invariant
+    whenever the two-qubit input is X x X invariant (the singlet, any
+    Werner state): the unpolarized environment I/2 is invariant under X_E,
+    and both coupling maps on (B, E), the interfering block and the
+    distinguishable Kraus pair {T I, -R SWAP}, commute with X_B x X_E.
+    Projecting E onto |V> = X|H> therefore gives exactly X_A X_B (H branch)
+    X_A X_B.
     """
     params = [CouplingParams(t) for t in ts]
     coupled = couple_grid(SINGLET_STANDARD, MIXED_ENV, params, IndistinguishabilityModel(p))
@@ -275,23 +314,29 @@ def couple_measure_grid(
     return traces
 
 
+@stacked
 def filtration(
-    measured: DensityMatrix,
-    T: float,
-    eps: float | None = None,
+    measured: Sequence[DensityMatrix],
+    ts: Sequence[float],
+    *,
+    eps_list: Sequence[float] = (),
     raw_filters: tuple[Amplitudes, Amplitudes] | None = None,
-) -> list[ProtocolStep]:
-    """Filter stages on the measured H branch at coupling T: the (Alice,
-    Bob) ``raw_filters`` alone, else the rebalance filter then the eps
-    filter, else none."""
+) -> list[list[ProtocolStep]]:
+    """Filter stages on each measured H branch at its coupling T, one stack
+    per stage: with ``eps_list``, the rebalance filter, then one eps filter
+    per value, each from the rebalanced state; with ``raw_filters``, the
+    (Alice, Bob) raw filter of the measured state."""
+    stages = []
+    # An empty stack has no state to raise an error, a bad eps included.
+    if eps_list and measured:
+        rebalanced = rebalance_filter(measured, ts)
+        stages.append(("rebalanced", rebalanced))
+        stages += [("filtered", epsilon_filter([r.rho for r in rebalanced], e)) for e in eps_list]
     if raw_filters is not None:
-        filtered = apply_filter(measured, *raw_filters)
-        return [ProtocolStep("filtered_raw", filtered.rho, filtered.success_prob)]
-    if eps is None:
-        return []
-    rebalanced = rebalance_filter(measured, T)
-    filtered = epsilon_filter(rebalanced.rho, eps)
+        n = len(measured)
+        raw = apply_filter_stack(measured, [raw_filters[0]] * n, [raw_filters[1]] * n)
+        stages.append(("filtered_raw", raw))
     return [
-        ProtocolStep("rebalanced", rebalanced.rho, rebalanced.success_prob),
-        ProtocolStep("filtered", filtered.rho, filtered.success_prob),
+        [ProtocolStep(name, out[i].rho, out[i].success_prob) for name, out in stages]
+        for i in range(len(measured))
     ]

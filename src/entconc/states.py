@@ -10,16 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import ATOL, DensityMatrix
+from .qmath import DensityMatrix
 
-H, V = 0, 1
-
-KET_H = np.array([1.0, 0.0], dtype=complex)
-KET_V = np.array([0.0, 1.0], dtype=complex)
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def ket_density(ket: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
@@ -109,12 +102,3 @@ def classify_werner(rho: DensityMatrix) -> WernerDecomposition:
             q, res, convention = q2, res2, "standard"
     return WernerDecomposition(q, res, convention)
 
-
-def is_x_form(rho: DensityMatrix, tol: float = ATOL) -> bool:
-    """True iff all entries off the diagonal and anti-diagonal are ~0."""
-    m = rho.mat
-    mask = np.ones((4, 4), dtype=bool)
-    for i in range(4):
-        mask[i, i] = False
-        mask[i, 3 - i] = False
-    return bool(np.abs(m[mask]).max() <= tol)

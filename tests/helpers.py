@@ -1,9 +1,16 @@
-"""Shared test helpers: random states and unitaries, and sigma_II."""
+"""Shared test helpers: random states and unitaries, sigma_II, and the
+reference forms (kets, X-form test and concurrence, feed-forward
+correction) that only the tests use."""
 
 import numpy as np
 
 from entconc.cascade import CascadeParams, closed_form_state, coefficients
-from entconc.qmath import DensityMatrix
+from entconc.qmath import ATOL, DensityMatrix, kron
+
+KET_H = np.array([1.0, 0.0], dtype=complex)
+KET_V = np.array([0.0, 1.0], dtype=complex)
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def sigma2(T: float) -> DensityMatrix:
@@ -23,3 +30,32 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def feed_forward(v_branch: DensityMatrix) -> tuple[DensityMatrix, np.ndarray]:
+    """The local correction X_A x X_B of the V measurement branch, which
+    ``couple_measure_grid`` keeps only as a weight: the corrected state and
+    the 4x4 correcting unitary."""
+    u = kron(SIGMA_X, SIGMA_X)
+    return DensityMatrix(u @ v_branch.mat @ u.conj().T, (2, 2)), u
+
+
+def is_x_form(rho: DensityMatrix, tol: float = ATOL) -> bool:
+    """True iff all entries off the diagonal and anti-diagonal are ~0."""
+    m = rho.mat
+    mask = np.ones((4, 4), dtype=bool)
+    for i in range(4):
+        mask[i, i] = False
+        mask[i, 3 - i] = False
+    return bool(np.abs(m[mask]).max() <= tol)
+
+
+def concurrence_x_form(rho: DensityMatrix) -> float:
+    """Analytic concurrence for X-form states.
+
+    C = 2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44)).
+    """
+    m = rho.mat
+    inner = abs(m[1, 2]) - np.sqrt(max(m[0, 0].real, 0.0) * max(m[3, 3].real, 0.0))
+    outer = abs(m[0, 3]) - np.sqrt(max(m[1, 1].real, 0.0) * max(m[2, 2].real, 0.0))
+    return float(max(0.0, 2.0 * inner, 2.0 * outer))

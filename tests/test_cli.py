@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entconc
 from entconc import protocol, qmath
@@ -18,9 +20,10 @@ from entconc.cascade import (
     filtered_success_prob,
     simulate_cascade,
 )
-from entconc.cli import _GRID_CHUNK, main
+from entconc.cli import _GRID_CHUNK, _filter_cells, main
+from entconc.errors import EntconcError
 from entconc.metrics import concurrence
-from entconc.protocol import raw_attenuations, run_protocol
+from entconc.protocol import couple_measure_grid, raw_attenuations, run_protocol
 
 
 def _run(argv, capsys):
@@ -150,21 +153,46 @@ class TestProtocolCommand:
         assert out == ""
         assert err == "config error: a_a and a_b must be given together\n"
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            # T = 0.3 fails its eps filter before T = 0 fails its rebalance.
+            (["t_grid=0.3,0", "eps_list=2"], "epsilon 2.0 outside (0, 1]"),
+            (["t_grid=0.3", "eps_list=0"], "epsilon 0.0 outside (0, 1]"),
+            (["t_grid=0.3,0.6", "a_a=0", "a_b=0"], "normalize: zero-measure operator"),
+            # T = 1/2 has no eps filters; its raw filter fails first.
+            (["t_grid=0.5,0.3", "eps_list=2", "a_a=0", "a_b=0"], "normalize: zero-measure operator"),
+            # The default grid starts at T = 0, where A = T^2 = 0.
+            ([], "normalize: zero-measure operator"),
+        ],
+        ids=["bad-eps-after-good-t", "zero-eps", "zero-raw", "raw-at-half-first", "default"],
+    )
+    def test_filter_error_is_the_first_per_t_error(self, settings, message, capsys):
+        argv = ["protocol"]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = _run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: {message}\n"
+
     def test_one_rebalance_per_t(self, monkeypatch, capsys):
-        # Each eps column branches from the one rebalanced state of its T.
-        calls = []
-        apply_filter = protocol.apply_filter
+        # Each eps column branches from the one rebalanced stack of its chunk:
+        # one filter stack for the rebalance, then one per eps column, each
+        # holding every T of the chunk.
+        sizes = []
+        apply_filter_stack = protocol.apply_filter_stack
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return apply_filter(*args, **kwargs)
+        def counting(states, *args, **kwargs):
+            sizes.append(len(states))
+            return apply_filter_stack(states, *args, **kwargs)
 
-        monkeypatch.setattr(protocol, "apply_filter", counting)
+        monkeypatch.setattr(protocol, "apply_filter_stack", counting)
         ts, eps_list = ["0.2", "0.35", "0.7", "0.9"], ["0.4", "0.2", "0.07"]
         argv = ["protocol", "--set", "t_grid=" + ",".join(ts)]
         code, _, _ = _run(argv + ["--set", "eps_list=" + ",".join(eps_list)], capsys)
         assert code == 0
-        assert len(calls) == len(ts) * (1 + len(eps_list))
+        assert sizes == [len(ts)] * (1 + len(eps_list))
 
     @pytest.mark.parametrize("feed", ["false", "true"])
     def test_filter_columns_match_separate_runs(self, tmp_path, feed, capsys):
@@ -435,13 +463,14 @@ class TestInterface:
 
 
 class TestProtocolStacks:
-    """protocol couples, measures and traces out E once per chunk of T values;
-    only the filters run per T."""
+    """protocol couples, measures, traces out E and filters once per chunk
+    of T values."""
 
     @pytest.mark.parametrize(
-        "steps, eps_list, per_t", [(20, "", 0), (20, "0.25,0.05", 3), (197, "", 0)]
+        "steps, eps_list, per_chunk",
+        [(20, "", 0), (20, "0.25,0.05", 3), (197, "", 0), (197, "0.25,0.05", 3)],
     )
-    def test_validations_per_chunk(self, steps, eps_list, per_t, monkeypatch, capsys):
+    def test_validations_per_chunk(self, steps, eps_list, per_chunk, monkeypatch, capsys):
         sizes = []
         real = qmath._validate
 
@@ -456,6 +485,61 @@ class TestProtocolStacks:
         assert code == 0, err
         chunks = -(-steps // _GRID_CHUNK)
         # Coupling, measurement and the C_no_meas marginals: one stack each
-        # per chunk; rebalance and eps filters: one state each per T.
-        assert len(sizes) == 3 * chunks + per_t * steps
-        assert sum(sizes) == 3 * steps + per_t * steps
+        # per chunk.  With eps values, one rebalance stack and one stack per
+        # eps column per chunk, over the rows with T != 1/2 (197 points hold
+        # one T = 1/2 row).
+        n_half = int((np.abs(np.linspace(0.01, 0.99, steps) - 0.5) < 1e-12).sum())
+        assert n_half == (steps == 197)
+        assert len(sizes) == (3 + per_chunk) * chunks
+        assert sum(sizes) == 3 * steps + per_chunk * (steps - n_half)
+
+
+def _cells_or_error(ts, measured, eps_list, raw):
+    try:
+        return _filter_cells(ts, measured, eps_list=eps_list, raw=raw)
+    except EntconcError as exc:
+        return type(exc), str(exc)
+
+
+_CELL_T = st.sampled_from([0.0, 0.5, 1.0, 0.3]) | st.floats(0.0, 1.0)
+_INTENSITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestFilterCells:
+    """A chunk's filter cells, and the error a failing chunk raises, are
+    those of the same chunk filtered one T at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ts=st.lists(_CELL_T, min_size=1, max_size=8),
+        p=st.sampled_from([0.85, 1.0]),
+        eps_list=st.lists(st.sampled_from([0.0, 2.0, 1.0]) | st.floats(1e-6, 1.0), max_size=3),
+        raw=st.none() | st.tuples(_INTENSITY, _INTENSITY),
+    )
+    @example(ts=[0.5, 0.3], p=1.0, eps_list=[2.0], raw=(0.0, 0.0))
+    @example(ts=[0.3, 0.0], p=1.0, eps_list=[0.2, 0.0], raw=None)
+    @example(ts=[0.4, 0.5, 0.0], p=0.85, eps_list=[0.25, 0.05], raw=(0.12, 0.3))
+    def test_chunk_is_the_per_t_loop(self, ts, p, eps_list, raw):
+        measured = [tr.final_state for tr in couple_measure_grid(ts, p)]
+        raw = None if raw is None else raw_attenuations(*raw)
+        want = []
+        for t, m in zip(ts, measured):
+            cells = _cells_or_error([t], [m], eps_list, raw)
+            if isinstance(cells, tuple):
+                want = cells
+                break
+            want += cells
+        got = _cells_or_error(ts, measured, eps_list, raw)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert len(got) == len(want)
+        for g_row, w_row in zip(got, want):
+            assert len(g_row) == len(w_row)
+            for g, w in zip(g_row, w_row):
+                if isinstance(w, float):
+                    assert g == w == 0.0
+                else:
+                    assert g.mat.tobytes() == w.mat.tobytes()
+                    assert g.eig[0].tobytes() == w.eig[0].tobytes()
+                    assert g.eig[1].tobytes() == w.eig[1].tobytes()

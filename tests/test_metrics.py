@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from entconc.cascade import CascadeParams, closed_form_concurrence, coefficients, simulate_cascade
 from entconc.errors import DimensionError
-from entconc.metrics import concurrence, concurrence_x_form, concurrences, fidelity, purity
+from entconc.metrics import concurrence, concurrences, fidelity, purity
 from entconc.protocol import sigma3_closed_form
 from entconc.qmath import DensityMatrix, kron
 from entconc.states import ket_density, mixed_env, singlet, singlet_standard, werner
-from helpers import random_psd, random_unitary, sigma2
+from helpers import concurrence_x_form, random_psd, random_unitary, sigma2
 
 
 def _brute_force_werner_concurrence(q):

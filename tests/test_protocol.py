@@ -16,10 +16,11 @@ from entconc.errors import (
 from entconc.metrics import concurrence, fidelity
 from entconc.protocol import (
     apply_filter,
+    apply_filter_stack,
     c3_closed_form,
     couple_measure_grid,
     epsilon_filter,
-    feed_forward,
+    filtration,
     measure_env,
     measure_env_stack,
     outcome_probabilities,
@@ -31,8 +32,8 @@ from entconc.protocol import (
     sigma3_closed_form,
 )
 from entconc.qmath import DensityMatrix, kron, normalize, partial_trace, ptrace_stack
-from entconc.states import KET_H, KET_V, is_x_form, mixed_env, singlet_standard
-from helpers import random_psd, sigma2
+from entconc.states import mixed_env, singlet_standard
+from helpers import KET_H, KET_V, feed_forward, is_x_form, random_psd, sigma2
 
 
 def _post_measurement(T, result="H"):
@@ -159,7 +160,7 @@ class TestRebalanceFilter:
 
     @pytest.mark.parametrize("T", [0.1, 0.25, 0.4, 0.7, 0.95])
     def test_balances_central_populations(self, T):
-        out = rebalance_filter(sigma2(T), T)
+        (out,) = rebalance_filter([sigma2(T)], [T])
         m = out.rho.mat
         assert abs(m[1, 1] - m[2, 2]) < 1e-10
 
@@ -168,8 +169,8 @@ class TestEpsilonFilter:
     @pytest.mark.parametrize("T", [0.1, 0.25, 0.4, 0.7, 0.95])
     @pytest.mark.parametrize("eps", [0.05, 0.25, 1.0])
     def test_sigma3_closed_form(self, T, eps):
-        rebalanced = rebalance_filter(sigma2(T), T)
-        out = epsilon_filter(rebalanced.rho, eps)
+        (rebalanced,) = rebalance_filter([sigma2(T)], [T])
+        (out,) = epsilon_filter([rebalanced.rho], eps)
         assert np.abs(out.rho.mat - sigma3_closed_form(T, eps).mat).max() < 1e-10
         assert concurrence(out.rho).value == pytest.approx(c3_closed_form(T, eps), abs=1e-10)
 
@@ -178,13 +179,13 @@ class TestEpsilonFilter:
             assert c3_closed_form(T, 1e-9) > 1 - 1e-6
 
     def test_identity_at_transparent(self):
-        rebalanced = rebalance_filter(sigma2(1.0), 1.0)
-        out = epsilon_filter(rebalanced.rho, 1.0)
+        (rebalanced,) = rebalance_filter([sigma2(1.0)], [1.0])
+        (out,) = epsilon_filter([rebalanced.rho], 1.0)
         assert np.abs(out.rho.mat - singlet_standard().mat).max() < 1e-12
 
     def test_rejects_zero_eps(self):
         with pytest.raises(EntconcError):
-            epsilon_filter(sigma2(0.4), 0.0)
+            epsilon_filter([sigma2(0.4)], 0.0)
 
     def test_monotone_in_eps(self):
         for T in (0.2, 0.4, 0.8):
@@ -484,3 +485,106 @@ class TestFailingStacks:
     def test_marginals_need_one_dims(self):
         with pytest.raises(DimensionError, match="ptrace_stack: dims"):
             ptrace_stack([_abe(np.eye(4) / 4, np.eye(2) / 2), singlet_standard()], (0,))
+
+
+_PAIR = st.tuples(_AMPLITUDE, _AMPLITUDE)
+# Valid eps values, and three that epsilon_filter rejects.
+_EPS = st.sampled_from([0.0, 2.0, float("nan"), 1.0]) | st.floats(1e-6, 1.0)
+
+
+def _measured(ts, p):
+    return [tr.final_state for tr in couple_measure_grid(ts, p)]
+
+
+class TestStackedFilters:
+    """A filter stack is bitwise the per-state filters, and a failing stack
+    raises what its first bad state raises alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ts=st.lists(_T, min_size=1, max_size=12),
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    @example(ts=[0.0, 0.4], p=1.0, data=None)
+    @example(ts=[0.4, 0.0, 0.7], p=0.85, data=None)
+    def test_stack_is_the_per_state_filter(self, ts, p, data):
+        states = _measured(ts, p)
+        if data is None:
+            # Alice's V is dropped: the T = 0 state has zero measure, and
+            # the others keep their HV population.
+            alice, bob = [(1.0, 0.0)] * len(ts), [(1.0, 1.0)] * len(ts)
+        else:
+            alice = data.draw(st.lists(_PAIR, min_size=len(ts), max_size=len(ts)))
+            bob = data.draw(st.lists(_PAIR, min_size=len(ts), max_size=len(ts)))
+        items = list(zip(states, alice, bob))
+        error = _first_error(lambda item: apply_filter(*item), items)
+        if error is not None:
+            with pytest.raises(error[0]) as info:
+                apply_filter_stack(states, alice, bob)
+            assert str(info.value) == error[1]
+            return
+        for got, item in zip(apply_filter_stack(states, alice, bob), items):
+            want = apply_filter(*item)
+            assert got.success_prob == want.success_prob
+            _assert_same_state(got.rho, want.rho)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ts=st.lists(_T, min_size=1, max_size=12),
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        eps=st.none() | _EPS,
+        raw=st.none() | st.tuples(_PAIR, _PAIR),
+    )
+    @example(ts=[0.3, 0.0], p=1.0, eps=2.0, raw=None)
+    @example(ts=[0.0, 0.3], p=1.0, eps=2.0, raw=None)
+    @example(ts=[0.3, 0.5, 0.0], p=0.85, eps=0.25, raw=None)
+    @example(ts=[0.3, 0.6], p=1.0, eps=None, raw=((1.0, 0.0), (1.0, 0.0)))
+    def test_filtration_stack_is_the_per_state_filtration(self, ts, p, eps, raw):
+        states = _measured(ts, p)
+        items = list(zip(states, ts))
+        eps_list = () if eps is None else (eps, 0.5)
+
+        def alone(item):
+            return filtration([item[0]], [item[1]], eps_list=eps_list, raw_filters=raw)[0]
+
+        error = _first_error(alone, items)
+        if error is not None:
+            with pytest.raises(error[0]) as info:
+                filtration(states, ts, eps_list=eps_list, raw_filters=raw)
+            assert str(info.value) == error[1]
+            return
+        for got, item in zip(filtration(states, ts, eps_list=eps_list, raw_filters=raw), items):
+            want = alone(item)
+            assert [s.name for s in got] == [s.name for s in want]
+            for g, w in zip(got, want):
+                assert g.step_prob == w.step_prob
+                _assert_same_state(g.state, w.state)
+
+    def test_rebalance_and_eps_stacks(self):
+        ts = [0.1, 0.25, 0.4, 0.7, 0.95]
+        states = [sigma2(t) for t in ts]
+        rebalanced = rebalance_filter(states, ts)
+        for got, state, t in zip(rebalanced, states, ts):
+            (want,) = rebalance_filter([state], [t])
+            assert got.success_prob == want.success_prob
+            _assert_same_state(got.rho, want.rho)
+        filtered = epsilon_filter([r.rho for r in rebalanced], 0.25)
+        for got, r in zip(filtered, rebalanced):
+            (want,) = epsilon_filter([r.rho], 0.25)
+            assert got.success_prob == want.success_prob
+            _assert_same_state(got.rho, want.rho)
+
+    def test_rebalance_error_order(self):
+        # The T = 0 state fails its own filter before T = 1/2 degenerates.
+        ts = [0.3, 0.0, 0.5]
+        with pytest.raises(ZeroProbabilityError, match="zero-measure"):
+            rebalance_filter(_measured(ts, 1.0), ts)
+        with pytest.raises(DegenerateCouplingError):
+            rebalance_filter(_measured(ts[::-1], 1.0), ts[::-1])
+
+    def test_empty_stacks(self):
+        assert apply_filter_stack([], [], []) == []
+        assert rebalance_filter([], []) == []
+        assert epsilon_filter([], 0.25) == []
+        assert filtration([], [], eps_list=[2.0], raw_filters=((1.0, 0.0), (1.0, 0.0))) == []

@@ -10,13 +10,12 @@ from entconc.states import (
     MIXED_ENV,
     SINGLET_STANDARD,
     classify_werner,
-    is_x_form,
     mixed_env,
     singlet,
     singlet_standard,
     werner,
 )
-from helpers import sigma2
+from helpers import is_x_form, sigma2
 
 
 class TestSinglet:
