@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -445,6 +446,27 @@ class TestInterface:
         assert main(args + ["--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_commands_leave_no_cyclic_garbage(self, capsys):
+        # A command run in-process frees what it builds by reference
+        # counting; cyclic garbage would make the caller's collector run.
+        calls = [
+            ["protocol", "--set", "t_grid=0.3,0.4", "--set", "p=0.85"],
+            ["cascade", "--set", "n_max=4", "--set", "p=0.85"],
+            ["sweep-coupling", "--set", "t_steps=5"],
+        ]
+        for argv in calls:
+            assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in calls:
+                assert main(argv) == 0
+            found = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert found == 0
 
     def test_import_loads_no_scipy(self):
         # Start-up cost: the CLI must import without pulling in scipy.
