@@ -13,7 +13,7 @@ import numpy as np
 from entconc.cascade import CascadeParams, closed_form_state, coefficients
 from entconc.fock import estimate_overlap, hom_coincidence_prob, hom_scan
 from entconc.metrics import concurrence, fidelity
-from entconc.tomography import default_settings, reconstruct, simulate_counts
+from entconc.tomography import reconstruct, simulate_counts
 
 print("balanced-BS coincidence rates:")
 print(f"  identical photons:      {hom_coincidence_prob(0.5, identical=True):.4f}")
@@ -28,15 +28,13 @@ for p in (1.0, 0.85, 0.5):
 # Tomography of the post-measurement state at T = 0.4: sigma_II, the
 # one-coupling cascade closed form.
 rho = closed_form_state(coefficients(CascadeParams((0.4,))))
-settings = default_settings()
-rec = reconstruct(simulate_counts(rho, settings), settings)
+rec = reconstruct(simulate_counts(rho))
 print(f"\nideal tomography of the post-measurement state: "
       f"fidelity {fidelity(rec, rho):.8f}")
 
 print("finite statistics (Poisson counts):")
 for shots in (500, 5000, 50000):
-    noisy = default_settings(shots=shots)
-    counts = simulate_counts(rho, noisy, np.random.default_rng(1))
-    rec = reconstruct(counts, noisy)
+    counts = simulate_counts(rho, shots, np.random.default_rng(1))
+    rec = reconstruct(counts, shots)
     print(f"  {shots:6d} shots/setting: fidelity {fidelity(rec, rho):.4f}, "
           f"concurrence {concurrence(rec).value:.4f} (true {concurrence(rho).value:.4f})")

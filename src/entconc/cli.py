@@ -21,8 +21,8 @@ fails is filtered again per T, so it raises what a per-T loop raises first.
 recurrence (:func:`entconc.cascade.coefficient_prefixes`).
 
 List keys take comma-separated floats, and blank entries are skipped.  An
-empty grid (``t_grid``, ``overlap_grid``) is a config error; an empty
-``eps_list`` means no filter columns (``protocol``, ``cascade``).
+empty grid (``t_grid``, ``overlap_grid``) or an eps outside (0, 1] is a
+config error; an empty ``eps_list`` means no filter columns.
 
 Exit codes: 0 success, 2 config error, 3 numeric contract violation.
 """
@@ -59,7 +59,7 @@ from .protocol import (
 )
 from .qmath import DensityMatrix, ptrace_stack
 from .states import MIXED_ENV, SINGLET_STANDARD, singlet_standard
-from .tomography import default_settings, reconstruct, simulate_counts
+from .tomography import reconstruct, simulate_counts
 
 # Experimental values quoted for comparison in annotated output; they are
 # measured numbers, not reproducible by simulation.
@@ -113,6 +113,15 @@ def _grid(cfg: dict) -> np.ndarray:
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"T={v} outside [0, 1]")
     return np.array(vals)
+
+
+def _eps_list(cfg: dict) -> list[float]:
+    """``eps_list``, each value checked against (0, 1] before any filter runs."""
+    eps_list = _floats(cfg, "eps_list", "0.25,0.05")
+    for e in eps_list:
+        if not 0.0 < e <= 1.0:
+            raise ConfigError(f"epsilon {e} outside (0, 1]")
+    return eps_list
 
 
 # T points per stack in sweep-coupling and protocol.  A stack's working set
@@ -185,7 +194,7 @@ def _filter_cells(ts: list[float], measured: list[DensityMatrix], *, eps_list, r
 
 def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
     ts = _grid(cfg)
-    eps_list = _floats(cfg, "eps_list", "0.25,0.05")
+    eps_list = _eps_list(cfg)
     p = float(cfg.get("p", 1.0))
     feed = str(cfg.get("feed_forward", "false")).lower() in ("1", "true", "yes")
     dump = str(cfg.get("dump_trace", "false")).lower() in ("1", "true", "yes")
@@ -246,7 +255,7 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
             raise ConfigError("t_list shorter than n_max")
     else:
         t_all = [float(cfg.get("t", 0.1))] * n_max
-    eps_list = _floats(cfg, "eps_list", "0.25,0.05")
+    eps_list = _eps_list(cfg)
     p = float(cfg.get("p", 1.0))
     header = ["N", "C_closed", "C_sim", "P_N"]
     for e in eps_list:
@@ -302,12 +311,8 @@ def cmd_tomo(cfg: dict, out, fmt: str) -> list[str]:
     rho = _TOMO_STATES[name](cfg)
     shots = int(cfg.get("shots", 0))
     seed = int(cfg.get("seed", 0))
-    settings = default_settings(shots=shots)
-    rng = np.random.default_rng(seed)
-    counts = simulate_counts(rho, settings, rng)
-    rec = reconstruct(counts, settings)
-    f = fidelity(rec, rho)
-    rows = [[name, shots, seed, f]]
+    rec = reconstruct(simulate_counts(rho, shots, np.random.default_rng(seed)), shots)
+    rows = [[name, shots, seed, fidelity(rec, rho)]]
     write_table(["state", "shots", "seed", "fidelity"], rows, out, fmt)
     return []
 

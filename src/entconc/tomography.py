@@ -1,78 +1,48 @@
 """Simulated two-qubit state tomography.
 
-16 product projectors built from the single-qubit states {H, V, D, R} form
-an informationally complete set; reconstruction is linear inversion of the
-Born probabilities followed by projection onto the nearest (Frobenius)
-PSD unit-trace matrix, i.e. projection of the eigenvalue vector onto the
-probability simplex.
+The 16 settings of James, Kwiat, Munro & White (PRA 64, 052312, 2001), the
+product projectors |x><x| (x) |y><y| for x, y in {H, V, D, R}, are one
+informationally complete constant stack, ``PROJECTORS``, built at import; the
+only knob is the number of shots per setting.  Reconstruction is linear
+inversion against ``BASIS``, then projection onto the nearest (Frobenius) PSD
+unit-trace matrix, i.e. of the eigenvalue vector onto the probability simplex.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .qmath import DensityMatrix, kron
 
-_SQ_KETS = {
-    "H": np.array([1.0, 0.0], dtype=complex),
-    "V": np.array([0.0, 1.0], dtype=complex),
-    "D": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2),
-    "A": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2),
-    "R": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2),
-    "L": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2),
-}
+# |H>, |V>, |D> = (|H> + |V>)/sqrt(2) and |R> = (|H> + i|V>)/sqrt(2).
+_KETS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0j]], dtype=complex)
+_KETS[2:] /= np.sqrt(2)
 
-DEFAULT_BASES = ("H", "V", "D", "R")
-
-
-@dataclass(frozen=True)
-class TomographySettings:
-    labels: tuple[str, ...]
-    projectors: tuple[np.ndarray, ...]
-    shots: int = 0
-
-    def __post_init__(self):
-        gram = np.array(
-            [[np.vdot(p, q).real for q in self.projectors] for p in self.projectors]
-        )
-        if abs(np.linalg.det(gram)) < 1e-12:
-            raise ConfigError("tomography settings are not informationally complete")
-
-
-def default_settings(shots: int = 0) -> TomographySettings:
-    labels = []
-    projectors = []
-    for x in DEFAULT_BASES:
-        for y in DEFAULT_BASES:
-            ket = kron(
-                np.outer(_SQ_KETS[x], _SQ_KETS[x].conj()),
-                np.outer(_SQ_KETS[y], _SQ_KETS[y].conj()),
-            )
-            labels.append(x + y)
-            projectors.append(ket)
-    return TomographySettings(tuple(labels), tuple(projectors), shots)
+# Setting 4 i + j measures |x_i><x_i| (x) |x_j><x_j| (HH, HV, ..., RR).
+_SQ = [np.outer(k, k.conj()) for k in _KETS]
+PROJECTORS = np.array([kron(x, y) for x in _SQ for y in _SQ])
+# Row k is vec(P_k)^*, so BASIS @ vec(rho) = tr(P_k rho) for each setting k.
+BASIS = PROJECTORS.reshape(16, 16).conj()
+PROJECTORS.flags.writeable = BASIS.flags.writeable = False
 
 
 def simulate_counts(
-    rho: DensityMatrix,
-    settings: TomographySettings,
-    rng: np.random.Generator | None = None,
+    rho: DensityMatrix, shots: int = 0, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Born probabilities per setting, or Poisson counts when shots > 0."""
     if rho.dims != (2, 2):
         raise DimensionError(f"simulate_counts: dims {rho.dims}")
-    probs = np.array(
-        [np.trace(p @ rho.mat).real for p in settings.projectors]
-    )
-    probs = np.clip(probs, 0.0, 1.0)
-    if settings.shots == 0:
+    if shots < 0:
+        raise ConfigError(f"shots must be >= 0, got {shots}")
+    # The stacked trace, not BASIS @ vec(rho): the latter sums in another
+    # order, and its last bits can move a seeded Poisson count.
+    probs = np.clip(np.trace(PROJECTORS @ rho.mat, axis1=1, axis2=2).real, 0.0, 1.0)
+    if shots == 0:
         return probs
     if rng is None:
         rng = np.random.default_rng()
-    return rng.poisson(settings.shots * probs).astype(float)
+    return rng.poisson(shots * probs).astype(float)
 
 
 def _simplex_projection(w: np.ndarray) -> np.ndarray:
@@ -84,16 +54,11 @@ def _simplex_projection(w: np.ndarray) -> np.ndarray:
     return np.clip(w - theta, 0.0, None)
 
 
-def reconstruct(counts: np.ndarray, settings: TomographySettings) -> DensityMatrix:
+def reconstruct(counts: np.ndarray, shots: int = 0) -> DensityMatrix:
     """Linear inversion followed by nearest PSD unit-trace projection."""
     freqs = np.asarray(counts, dtype=float)
-    if settings.shots > 0:
-        freqs = freqs / settings.shots
-    basis = np.array([p.reshape(-1).conj() for p in settings.projectors])
-    vec = np.linalg.solve(basis, freqs.astype(complex))
-    raw = vec.reshape(4, 4)
-    herm = (raw + raw.conj().T) / 2.0
-    w, v = np.linalg.eigh(herm)
-    w = _simplex_projection(w)
-    mat = (v * w) @ v.conj().T
-    return DensityMatrix(mat, (2, 2))
+    if shots > 0:
+        freqs = freqs / shots
+    raw = np.linalg.solve(BASIS, freqs.astype(complex)).reshape(4, 4)
+    w, v = np.linalg.eigh((raw + raw.conj().T) / 2.0)
+    return DensityMatrix((v * _simplex_projection(w)) @ v.conj().T, (2, 2))

@@ -1,11 +1,12 @@
 """Shared test helpers: random states and unitaries, sigma_II, and the
 reference forms (kets, X-form test and concurrence, feed-forward
-correction) that only the tests use."""
+correction, per-projector Born probabilities) that only the tests use."""
 
 import numpy as np
 
 from entconc.cascade import CascadeParams, closed_form_state, coefficients
 from entconc.qmath import ATOL, DensityMatrix, kron
+from entconc.tomography import PROJECTORS
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
@@ -30,6 +31,11 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def born_probabilities_per_projector(rho: DensityMatrix) -> np.ndarray:
+    """tr(P rho) for each tomography setting P, one projector at a time."""
+    return np.array([np.trace(p @ rho.mat).real for p in PROJECTORS])
 
 
 def feed_forward(v_branch: DensityMatrix) -> tuple[DensityMatrix, np.ndarray]:

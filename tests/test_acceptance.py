@@ -33,7 +33,7 @@ from entconc.protocol import (
     sigma3_closed_form,
 )
 from entconc.states import mixed_env, singlet, singlet_standard, werner
-from entconc.tomography import default_settings, reconstruct, simulate_counts
+from entconc.tomography import reconstruct, simulate_counts
 from helpers import sigma2
 
 
@@ -259,16 +259,14 @@ def test_criterion_8_tomography():
         "sigma2_T0.4": sigma2(0.4),
         "sigma3_T0.4_e0.25": sigma3_closed_form(0.4, 0.25),
     }
-    ideal = default_settings()
     worst_ideal = 1.0
     for rho in states.values():
-        rec = reconstruct(simulate_counts(rho, ideal), ideal)
+        rec = reconstruct(simulate_counts(rho))
         worst_ideal = min(worst_ideal, fidelity(rec, rho))
-    noisy = default_settings(shots=10**4)
     worst_noisy = 1.0
     rng = np.random.default_rng(102)
     for rho in states.values():
-        rec = reconstruct(simulate_counts(rho, noisy, rng), noisy)
+        rec = reconstruct(simulate_counts(rho, 10**4, rng), 10**4)
         worst_noisy = min(worst_noisy, fidelity(rec, rho))
     ok = worst_ideal >= 0.999999 and worst_noisy >= 0.98
     assert _report(

@@ -157,16 +157,23 @@ class TestProtocolCommand:
     @pytest.mark.parametrize(
         "settings, message",
         [
-            # T = 0.3 fails its eps filter before T = 0 fails its rebalance.
+            # eps_list is checked before any T is filtered, so T = 0 never
+            # reaches its rebalance.
             (["t_grid=0.3,0", "eps_list=2"], "epsilon 2.0 outside (0, 1]"),
             (["t_grid=0.3", "eps_list=0"], "epsilon 0.0 outside (0, 1]"),
             (["t_grid=0.3,0.6", "a_a=0", "a_b=0"], "normalize: zero-measure operator"),
-            # T = 1/2 has no eps filters; its raw filter fails first.
-            (["t_grid=0.5,0.3", "eps_list=2", "a_a=0", "a_b=0"], "normalize: zero-measure operator"),
+            # T = 1/2 has no eps filters, yet a bad eps is still an error.
+            (["t_grid=0.5,0.3", "eps_list=2", "a_a=0", "a_b=0"], "epsilon 2.0 outside (0, 1]"),
+            (["t_grid=0.5", "eps_list=2,-1"], "epsilon 2.0 outside (0, 1]"),
+            # With a good eps, T = 1/2's raw filter fails first.
+            (["t_grid=0.5,0.3", "eps_list=0.25", "a_a=0", "a_b=0"], "normalize: zero-measure operator"),
             # The default grid starts at T = 0, where A = T^2 = 0.
             ([], "normalize: zero-measure operator"),
         ],
-        ids=["bad-eps-after-good-t", "zero-eps", "zero-raw", "raw-at-half-first", "default"],
+        ids=[
+            "bad-eps-after-good-t", "zero-eps", "zero-raw", "bad-eps-at-half",
+            "bad-eps-only-at-half", "raw-at-half-first", "default",
+        ],
     )
     def test_filter_error_is_the_first_per_t_error(self, settings, message, capsys):
         argv = ["protocol"]
@@ -314,6 +321,20 @@ class TestCascadeCommand:
         assert code == 2
         assert "cascade filter needs A_N > 0" in err
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (["t=0.4", "n_max=2", "eps_list=2,-1"], "epsilon 2.0 outside (0, 1]"),
+            (["eps_list=0"], "epsilon 0.0 outside (0, 1]"),
+        ],
+        ids=["above-one", "zero"],
+    )
+    def test_eps_outside_unit_interval_exits_2(self, settings, message, capsys):
+        argv = ["cascade"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert _run(argv, capsys) == (2, "", f"config error: {message}\n")
+
 
 class TestHomCommand:
     def test_recovers_overlap(self, tmp_path, capsys):
@@ -392,6 +413,11 @@ class TestTomoCommand:
         code, _, err = _run(["tomo", "--set", "state=bogus"], capsys)
         assert code == 2
         assert "unknown tomo state" in err
+
+    def test_negative_shots_rejected(self, capsys):
+        assert _run(["tomo", "--set", "shots=-5"], capsys) == (
+            2, "", "config error: shots must be >= 0, got -5\n"
+        )
 
 
 class TestInterface:
