@@ -13,10 +13,11 @@ run their T grid in stacks of ``_GRID_CHUNK`` points: ``sweep-coupling``
 couples each stack (:func:`entconc.channel.couple_grid`) and computes its
 pair concurrences per point; ``protocol`` couples and measures each stack
 (:func:`entconc.protocol.couple_measure_grid`), traces out E as one stack
-(:func:`entconc.qmath.ptrace_stack`) and filters it as one stack per stage:
-one rebalance stack over the rows with T != 1/2, one eps stack per column
-branching from it, and one raw-filter stack.  A chunk whose filter stage
-fails is filtered again per T, so it raises what a per-T loop raises first.
+(:func:`entconc.qmath.ptrace_stack`) and filters it with one
+:func:`entconc.protocol.filtration` call: one rebalance stack, one eps
+stack per column branching from it, and one raw-filter stack.  Every cell
+is computed, at T = 1/2 too, and a chunk that fails raises what a per-T
+loop raises first.
 ``cascade`` reads the closed forms of every depth from one pass of the
 recurrence (:func:`entconc.cascade.coefficient_prefixes`).
 
@@ -50,13 +51,7 @@ from .channel import CouplingParams, IndistinguishabilityModel, couple_grid
 from .errors import ConfigError, EntconcError, InvariantViolation
 from .fock import estimate_overlap, hom_coincidence_prob, hom_scan
 from .metrics import concurrences, fidelity, pair_concurrences
-from .protocol import (
-    couple_measure_grid,
-    filtration,
-    raw_attenuations,
-    sigma3_closed_form,
-    stacked,
-)
+from .protocol import couple_measure_grid, filtration, raw_attenuations, sigma3_closed_form
 from .qmath import DensityMatrix, ptrace_stack
 from .states import MIXED_ENV, SINGLET_STANDARD, singlet_standard
 from .tomography import reconstruct, simulate_counts
@@ -115,13 +110,15 @@ def _grid(cfg: dict) -> np.ndarray:
     return np.array(vals)
 
 
+def _eps(e: float) -> float:
+    """``e``, checked against (0, 1] before any filter or closed form uses it."""
+    if not 0.0 < e <= 1.0:
+        raise ConfigError(f"epsilon {e} outside (0, 1]")
+    return e
+
+
 def _eps_list(cfg: dict) -> list[float]:
-    """``eps_list``, each value checked against (0, 1] before any filter runs."""
-    eps_list = _floats(cfg, "eps_list", "0.25,0.05")
-    for e in eps_list:
-        if not 0.0 < e <= 1.0:
-            raise ConfigError(f"epsilon {e} outside (0, 1]")
-    return eps_list
+    return [_eps(e) for e in _floats(cfg, "eps_list", "0.25,0.05")]
 
 
 # T points per stack in sweep-coupling and protocol.  A stack's working set
@@ -177,21 +174,6 @@ def _fill_concurrences(rows: list[list]) -> list[list]:
     ]
 
 
-@stacked
-def _filter_cells(ts: list[float], measured: list[DensityMatrix], *, eps_list, raw) -> list[list]:
-    """The C_eps_* and C_raw_filter cells of each row: filtered states, or
-    0.0 in the C_eps_* cells at T = 1/2, where the rebalance degenerates."""
-    keep = [i for i, t in enumerate(ts) if abs(t - 0.5) >= 1e-12]
-    cells = [[0.0] * len(eps_list) for _ in ts]
-    kept = filtration([measured[i] for i in keep], [ts[i] for i in keep], eps_list=eps_list)
-    for i, steps in zip(keep, kept):
-        cells[i] = [step.state for step in steps[1:]]
-    if raw is not None:
-        for row, (step,) in zip(cells, filtration(measured, ts, raw_filters=raw)):
-            row.append(step.state)
-    return cells
-
-
 def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
     ts = _grid(cfg)
     eps_list = _eps_list(cfg)
@@ -217,8 +199,9 @@ def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
         front = couple_measure_grid(chunk, p, feed)
         no_meas = ptrace_stack([tr.steps[1].state for tr in front], (0, 1))
         measured = [tr.final_state for tr in front]
-        filtered = _filter_cells(chunk, measured, eps_list=eps_list, raw=raw)
-        for t, tr, marginal, cells in zip(chunk, front, no_meas, filtered):
+        filtered = filtration(measured, chunk, eps_list=eps_list, raw_filters=raw)
+        for t, tr, marginal, steps in zip(chunk, front, no_meas, filtered):
+            cells = [s.state for s in steps if s.name != "rebalanced"]
             rows.append([t, marginal, tr.final_state, tr.cumulative_prob, *cells])
             if dump:
                 traces.append(
@@ -299,7 +282,7 @@ _TOMO_STATES = {
         coefficients(CascadeParams((float(cfg.get("t", 0.4)),)))
     ),
     "sigma3": lambda cfg: sigma3_closed_form(
-        float(cfg.get("t", 0.4)), float(cfg.get("eps", 0.25))
+        float(cfg.get("t", 0.4)), _eps(float(cfg.get("eps", 0.25)))
     ),
 }
 

@@ -22,7 +22,7 @@ class NotPSDError(InvariantViolation):
 
 
 class DegenerateCouplingError(EntconcError):
-    """Raised where a formula degenerates, e.g. the rebalance filter at T=1/2."""
+    """Raised where a formula degenerates, e.g. the cascade filter at A_N = 0."""
 
 
 class ZeroProbabilityError(EntconcError):

@@ -23,8 +23,9 @@ bad state raises alone.  The filters (III) follow the same contract:
 :func:`apply_filter_stack` filters k states, each with its own amplitude
 pairs, and normalizes them with one ``normalize_stack`` call.
 :func:`apply_filter` is its k = 1 case, and :func:`rebalance_filter`,
-:func:`epsilon_filter` and :func:`filtration` take stacks; a stack that
-fails is filtered again one state at a time (:func:`stacked`).
+:func:`epsilon_filter` and :func:`filtration` take stacks.  A failing
+:func:`apply_filter_stack` or :func:`filtration` stack is filtered again one
+state at a time (:func:`stacked`).
 
 Closed forms implemented here (checked against the simulator), after the
 rebalancing + epsilon filters:
@@ -39,7 +40,9 @@ with (alpha, delta) = ((2T-1)^2, R^2) for T > |2T-1| and
 Note on the rebalancing filter: balancing the central populations T^2 and
 (2T-1)^2 while leaving the VV corner at R^2 (which the sigma_III form above
 requires) forces the H-attenuation onto Alice's mode in the T > |2T-1|
-branch, matching the N-coupling rule |H>_A -> sqrt(B_N/A_N) |H>_A.
+branch, matching the N-coupling rule |H>_A -> sqrt(B_N/A_N) |H>_A.  At
+T = 1/2 the (2T-1)^2 population is 0: the filter removes Alice's H, and
+every filtered state has C_III = 0 (at p = 1, sigma_III = |VV><VV|).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple_grid
-from .errors import DegenerateCouplingError, DimensionError, EntconcError
+from .errors import DimensionError, EntconcError
 from .qmath import DensityMatrix, normalize_stack
 from .states import MIXED_ENV, SINGLET_STANDARD
 
@@ -190,16 +193,13 @@ def apply_filter(
 
 def rebalance_branch(T: float) -> Amplitudes:
     """Alice's population-balancing filter (h, v) at this T; Bob is not
-    filtered."""
-    if abs(T - 0.5) < 1e-12:
-        raise DegenerateCouplingError("rebalance filter degenerates at T = 1/2")
+    filtered.  At T = 1/2 the (T-R)^2 population is 0, and so is h."""
     d = abs(2.0 * T - 1.0)
     if T > d:
         return d / T, 1.0
     return 1.0, T / d
 
 
-@stacked
 def rebalance_filter(
     states: Sequence[DensityMatrix], ts: Sequence[float]
 ) -> list[PostSelectedState]:
@@ -226,8 +226,6 @@ def sigma3_params(T: float) -> tuple[float, float]:
     d = abs(2.0 * T - 1.0)
     if T > d:
         return (2.0 * T - 1.0) ** 2, R**2
-    if abs(R - T) < 1e-12:
-        raise DegenerateCouplingError("filtered closed form degenerates at T = 1/2")
     return T**2, (T * R / (R - T)) ** 2
 
 

@@ -1,5 +1,6 @@
 import csv
 import gc
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entconc
@@ -21,10 +22,15 @@ from entconc.cascade import (
     filtered_success_prob,
     simulate_cascade,
 )
-from entconc.cli import _GRID_CHUNK, _filter_cells, main
-from entconc.errors import EntconcError
+from entconc.cli import _GRID_CHUNK, cmd_protocol, main
 from entconc.metrics import concurrence
-from entconc.protocol import couple_measure_grid, raw_attenuations, run_protocol
+from entconc.protocol import (
+    c3_closed_form,
+    p3_closed_form,
+    raw_attenuations,
+    run_protocol,
+    sigma3_closed_form,
+)
 
 
 def _run(argv, capsys):
@@ -162,10 +168,11 @@ class TestProtocolCommand:
             (["t_grid=0.3,0", "eps_list=2"], "epsilon 2.0 outside (0, 1]"),
             (["t_grid=0.3", "eps_list=0"], "epsilon 0.0 outside (0, 1]"),
             (["t_grid=0.3,0.6", "a_a=0", "a_b=0"], "normalize: zero-measure operator"),
-            # T = 1/2 has no eps filters, yet a bad eps is still an error.
+            # eps_list is checked before T = 1/2 is filtered too.
             (["t_grid=0.5,0.3", "eps_list=2", "a_a=0", "a_b=0"], "epsilon 2.0 outside (0, 1]"),
             (["t_grid=0.5", "eps_list=2,-1"], "epsilon 2.0 outside (0, 1]"),
-            # With a good eps, T = 1/2's raw filter fails first.
+            # With a good eps, T = 1/2's eps filters pass and its raw filter
+            # fails first.
             (["t_grid=0.5,0.3", "eps_list=0.25", "a_a=0", "a_b=0"], "normalize: zero-measure operator"),
             # The default grid starts at T = 0, where A = T^2 = 0.
             ([], "normalize: zero-measure operator"),
@@ -183,6 +190,36 @@ class TestProtocolCommand:
         assert code == 2
         assert out == ""
         assert err == f"config error: {message}\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        feed=st.booleans(),
+        eps=st.sampled_from([1.0]) | st.floats(1e-6, 1.0),
+        offset=st.sampled_from([1e-13, -1e-13]) | st.floats(-1e-12, 1e-12).filter(bool),
+    )
+    def test_half_cells_are_computed(self, p, feed, eps, offset):
+        # At T = 1/2 the balancing filter removes Alice's H, so the cell is
+        # +0.0 at every p; near it the cell is the closed form at its double.
+        near = 0.5 + offset
+        cfg = {"t_grid": f"0.5,{near!r}", "p": repr(p), "feed_forward": str(feed),
+               "eps_list": repr(eps)}
+        buf = io.StringIO()
+        cmd_protocol(cfg, buf, "json")
+        half, near_row = json.loads(buf.getvalue())
+        cell = half[f"C_eps_{eps:g}"]
+        assert cell == 0.0 and not np.signbit(cell)
+        tr = run_protocol(0.5, eps=eps, feed_forward_enabled=feed)
+        assert np.abs(tr.final_state.mat - sigma3_closed_form(0.5, eps).mat).max() < 1e-12
+        assert concurrence(tr.final_state).value == 0.0
+        want = p3_closed_form(0.5, eps) * (2.0 if feed else 1.0)
+        assert tr.cumulative_prob == pytest.approx(want, rel=1e-12)
+        tr = run_protocol(near, eps=eps, feed_forward_enabled=feed)
+        assert concurrence(tr.final_state).value == pytest.approx(
+            c3_closed_form(near, eps), abs=1e-12
+        )
+        if p == 1.0:
+            assert near_row[f"C_eps_{eps:g}"] == pytest.approx(c3_closed_form(near, eps), abs=1e-12)
 
     def test_one_rebalance_per_t(self, monkeypatch, capsys):
         # Each eps column branches from the one rebalanced stack of its chunk:
@@ -403,6 +440,13 @@ class TestTomoCommand:
         assert (code, out) == (2, "")
         assert err == "config error: transmittivity 1.5 outside [0, 1]\n"
 
+    @pytest.mark.parametrize("eps, shown", [("0", "0.0"), ("nan", "nan"), ("2", "2.0")])
+    def test_sigma3_eps_outside_unit_interval_exits_2(self, eps, shown, capsys):
+        # Checked before the closed form divides by it.
+        code, out, err = _run(["tomo", "--set", "state=sigma3", "--set", f"eps={eps}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: epsilon {shown} outside (0, 1]\n"
+
     def test_ideal_fidelity(self, tmp_path, capsys):
         out = tmp_path / "tomo.csv"
         code, _, _ = _run(["tomo", "--out", str(out), "--set", "state=sigma2"], capsys)
@@ -534,60 +578,8 @@ class TestProtocolStacks:
         chunks = -(-steps // _GRID_CHUNK)
         # Coupling, measurement and the C_no_meas marginals: one stack each
         # per chunk.  With eps values, one rebalance stack and one stack per
-        # eps column per chunk, over the rows with T != 1/2 (197 points hold
-        # one T = 1/2 row).
-        n_half = int((np.abs(np.linspace(0.01, 0.99, steps) - 0.5) < 1e-12).sum())
-        assert n_half == (steps == 197)
+        # eps column per chunk, over every row (197 points hold one T = 1/2
+        # row).
         assert len(sizes) == (3 + per_chunk) * chunks
-        assert sum(sizes) == 3 * steps + per_chunk * (steps - n_half)
+        assert sum(sizes) == (3 + per_chunk) * steps
 
-
-def _cells_or_error(ts, measured, eps_list, raw):
-    try:
-        return _filter_cells(ts, measured, eps_list=eps_list, raw=raw)
-    except EntconcError as exc:
-        return type(exc), str(exc)
-
-
-_CELL_T = st.sampled_from([0.0, 0.5, 1.0, 0.3]) | st.floats(0.0, 1.0)
-_INTENSITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
-
-
-class TestFilterCells:
-    """A chunk's filter cells, and the error a failing chunk raises, are
-    those of the same chunk filtered one T at a time."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        ts=st.lists(_CELL_T, min_size=1, max_size=8),
-        p=st.sampled_from([0.85, 1.0]),
-        eps_list=st.lists(st.sampled_from([0.0, 2.0, 1.0]) | st.floats(1e-6, 1.0), max_size=3),
-        raw=st.none() | st.tuples(_INTENSITY, _INTENSITY),
-    )
-    @example(ts=[0.5, 0.3], p=1.0, eps_list=[2.0], raw=(0.0, 0.0))
-    @example(ts=[0.3, 0.0], p=1.0, eps_list=[0.2, 0.0], raw=None)
-    @example(ts=[0.4, 0.5, 0.0], p=0.85, eps_list=[0.25, 0.05], raw=(0.12, 0.3))
-    def test_chunk_is_the_per_t_loop(self, ts, p, eps_list, raw):
-        measured = [tr.final_state for tr in couple_measure_grid(ts, p)]
-        raw = None if raw is None else raw_attenuations(*raw)
-        want = []
-        for t, m in zip(ts, measured):
-            cells = _cells_or_error([t], [m], eps_list, raw)
-            if isinstance(cells, tuple):
-                want = cells
-                break
-            want += cells
-        got = _cells_or_error(ts, measured, eps_list, raw)
-        if isinstance(want, tuple):
-            assert got == want
-            return
-        assert len(got) == len(want)
-        for g_row, w_row in zip(got, want):
-            assert len(g_row) == len(w_row)
-            for g, w in zip(g_row, w_row):
-                if isinstance(w, float):
-                    assert g == w == 0.0
-                else:
-                    assert g.mat.tobytes() == w.mat.tobytes()
-                    assert g.eig[0].tobytes() == w.eig[0].tobytes()
-                    assert g.eig[1].tobytes() == w.eig[1].tobytes()

@@ -7,7 +7,6 @@ from entconc import qmath
 from entconc.cascade import CascadeParams, coefficients
 from entconc.channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple
 from entconc.errors import (
-    DegenerateCouplingError,
     DimensionError,
     EntconcError,
     NotPSDError,
@@ -154,9 +153,8 @@ class TestRebalanceFilter:
     def test_transparent_noop(self):
         assert rebalance_branch(1.0) == (1.0, 1.0)
 
-    def test_degenerate_at_half(self):
-        with pytest.raises(DegenerateCouplingError):
-            rebalance_branch(0.5)
+    def test_removes_alice_h_at_half(self):
+        assert rebalance_branch(0.5) == (0.0, 1.0)
 
     @pytest.mark.parametrize("T", [0.1, 0.25, 0.4, 0.7, 0.95])
     def test_balances_central_populations(self, T):
@@ -540,6 +538,7 @@ class TestStackedFilters:
     @example(ts=[0.0, 0.3], p=1.0, eps=2.0, raw=None)
     @example(ts=[0.3, 0.5, 0.0], p=0.85, eps=0.25, raw=None)
     @example(ts=[0.3, 0.6], p=1.0, eps=None, raw=((1.0, 0.0), (1.0, 0.0)))
+    @example(ts=[0.5, 0.3], p=0.85, eps=0.25, raw=((1.0, 0.0), (1.0, 0.0)))
     def test_filtration_stack_is_the_per_state_filtration(self, ts, p, eps, raw):
         states = _measured(ts, p)
         items = list(zip(states, ts))
@@ -576,12 +575,11 @@ class TestStackedFilters:
             _assert_same_state(got.rho, want.rho)
 
     def test_rebalance_error_order(self):
-        # The T = 0 state fails its own filter before T = 1/2 degenerates.
+        # T = 1/2 is filtered like any T, so T = 0 fails in either order.
         ts = [0.3, 0.0, 0.5]
-        with pytest.raises(ZeroProbabilityError, match="zero-measure"):
-            rebalance_filter(_measured(ts, 1.0), ts)
-        with pytest.raises(DegenerateCouplingError):
-            rebalance_filter(_measured(ts[::-1], 1.0), ts[::-1])
+        for stack in (ts, ts[::-1]):
+            with pytest.raises(ZeroProbabilityError, match="zero-measure"):
+                rebalance_filter(_measured(stack, 1.0), stack)
 
     def test_empty_stacks(self):
         assert apply_filter_stack([], [], []) == []
