@@ -1,9 +1,9 @@
 """Diagnostics: Hong-Ou-Mandel overlap estimation and state tomography.
 
 The degree of indistinguishability p between signal and environment photons
-is what the coupling model needs as input; a HOM dip scan recovers it from
-the visibility.  Tomography closes the loop: simulate measurement counts on
-the protocol's output state and reconstruct it.
+is what the coupling model needs as input; the visibility of the
+Hong-Ou-Mandel dip recovers it.  Tomography closes the loop: simulate
+measurement counts on the protocol's output state and reconstruct it.
 
 Run:  python3 demos/04_hom_and_tomography.py
 """
@@ -11,19 +11,23 @@ Run:  python3 demos/04_hom_and_tomography.py
 import numpy as np
 
 from entconc.cascade import CascadeParams, closed_form_state, coefficients
-from entconc.fock import estimate_overlap, hom_coincidence_prob, hom_scan
+from entconc.channel import hom_coincidence
 from entconc.metrics import concurrence, fidelity
 from entconc.tomography import reconstruct, simulate_counts
 
+c_id, c_dist = hom_coincidence(0.5, 1.0), hom_coincidence(0.5, 0.0)
 print("balanced-BS coincidence rates:")
-print(f"  identical photons:      {hom_coincidence_prob(0.5, identical=True):.4f}")
-print(f"  orthogonal-tag photons: {hom_coincidence_prob(0.5, identical=False):.4f}")
+print(f"  identical photons:      {c_id:.4f}")
+print(f"  orthogonal-tag photons: {c_dist:.4f}")
 
 print("\nHOM dip scans:")
 for p in (1.0, 0.85, 0.5):
-    res = hom_scan(p)
-    print(f"  overlap {p:4.2f}: dip rate {min(res.coincidence_rates):.4f}, "
-          f"visibility {res.visibility:.4f}, recovered p = {estimate_overlap(res):.4f}")
+    # The dip's floor is the coincidence rate at overlap p; its visibility,
+    # scaled by the contrast, gives p back.
+    dip = hom_coincidence(0.5, p)
+    visibility = (c_dist - dip) / c_dist
+    print(f"  overlap {p:4.2f}: dip rate {dip:.4f}, visibility {visibility:.4f}, "
+          f"recovered p = {visibility * c_dist / (c_dist - c_id):.4f}")
 
 # Tomography of the post-measurement state at T = 0.4: sigma_II, the
 # one-coupling cascade closed form.

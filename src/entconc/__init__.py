@@ -5,8 +5,9 @@ Library layout:
 - :mod:`entconc.qmath`      dense complex linear-algebra kernel
 - :mod:`entconc.states`     named states and structural classifiers
 - :mod:`entconc.channel`    the beam-splitter coupling (step I): one Kraus
-                            kernel over a T grid, ``couple`` its one-T case
-- :mod:`entconc.fock`       brute-force second-quantized oracle + HOM
+                            kernel over a T grid, ``couple`` its one-T case,
+                            and the HOM dip in the same mixture form
+- :mod:`entconc.fock`       brute-force second-quantized oracle (tests)
 - :mod:`entconc.protocol`   environment measurement and filtration (II, III)
 - :mod:`entconc.cascade`    N sequential couplings and joint filtration; its
                             closed forms at N = 1 are sigma_II and P_II

@@ -27,6 +27,11 @@ the interfering block: one Kraus map on B x E, normalized once,
 
 so a branch that vanishes (HOM bunching) drops only its own weight.
 
+Hong-Ou-Mandel dip: :func:`hom_coincidence` is the probability that two
+photons of one polarization, one per input port, leave one per output mode,
+p (T - R)^2 + (1 - p)(T^2 + R^2) in the same mixture form.  It is also the
+factor by which one coupling and an H measurement scale the VH population.
+
 Stack contract: the map is one kernel, :func:`couple_grid`, over a vector of
 T (a sequence of :class:`CouplingParams`) at one p.  It builds the n
 operators as one ``(n, 8, 8)`` stack and normalizes them with
@@ -146,3 +151,12 @@ def couple_grid(
         unnorm = unnorm + (1.0 - model.p) * (t2 * joint + r2 * swapped)
     states, probs = normalize_stack(unnorm, (2, 2, 2))
     return [PostSelectedState(rho, prob) for rho, prob in zip(states, probs)]
+
+
+def hom_coincidence(T: float, p: float) -> float:
+    """The HOM dip at transmittivity T and overlap p (Hong, Ou & Mandel,
+    PRL 59, 2044 (1987)): (T - R)^2 at p = 1 and T^2 + R^2 at p = 0, as the
+    tests check against the Fock oracle."""
+    R = CouplingParams(T).R
+    p = IndistinguishabilityModel(p).p
+    return p * (T - R) ** 2 + (1.0 - p) * (T**2 + R**2)

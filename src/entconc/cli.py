@@ -47,9 +47,8 @@ from .cascade import (
     filtered_success_prob,
     simulate_cascade,
 )
-from .channel import CouplingParams, IndistinguishabilityModel, couple_grid
-from .errors import ConfigError, EntconcError, InvariantViolation
-from .fock import estimate_overlap, hom_coincidence_prob, hom_scan
+from .channel import CouplingParams, IndistinguishabilityModel, couple_grid, hom_coincidence
+from .errors import ConfigError, EntconcError, InvariantViolation, ZeroProbabilityError
 from .metrics import concurrences, fidelity, pair_concurrences
 from .protocol import couple_measure_grid, filtration, raw_attenuations, sigma3_closed_form
 from .qmath import DensityMatrix, ptrace_stack
@@ -267,12 +266,19 @@ def cmd_hom(cfg: dict, out, fmt: str) -> list[str]:
     t = float(cfg.get("t", 0.5))
     rows = []
     for ov in overlaps:
-        res = hom_scan(ov, T=t)
-        rows.append([ov, min(res.coincidence_rates), res.visibility, estimate_overlap(res)])
+        if not 0.0 <= ov <= 1.0:
+            raise ConfigError(f"overlap {ov} outside [0, 1]")
+        # Per overlap, so a bad first overlap is reported before a bad T.
+        c_id, c_dist = hom_coincidence(t, 1.0), hom_coincidence(t, 0.0)
+        if c_dist <= c_id:
+            raise ZeroProbabilityError("hom: dip has no contrast at this T")
+        dip = hom_coincidence(t, ov)
+        visibility = (c_dist - dip) / c_dist
+        rows.append([ov, dip, visibility, visibility * c_dist / (c_dist - c_id)])
     write_table(["overlap", "dip_rate", "visibility", "p_recovered"], rows, out, fmt)
     return [
-        f"coincidence at T=0.5: identical={hom_coincidence_prob(0.5, True):.12g}, "
-        f"orthogonal-tag={hom_coincidence_prob(0.5, False):.12g}"
+        f"coincidence at T=0.5: identical={hom_coincidence(0.5, 1.0):.12g}, "
+        f"orthogonal-tag={hom_coincidence(0.5, 0.0):.12g}"
     ]
 
 

@@ -17,11 +17,10 @@ post-selected two-photon amplitude rules used by :mod:`entconc.channel`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EntconcError, ZeroProbabilityError
+from .errors import EntconcError
 from .qmath import DensityMatrix, normalize
 
 Mode = tuple[str, int, str]  # (spatial, polarization, tag)
@@ -155,58 +154,3 @@ def oracle_couple(
             total += ws * we * block
     rho, prob = normalize(total, (2, 2, 2))
     return PostSelectedState(rho, prob)
-
-
-# --- Hong-Ou-Mandel ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HomScanResult:
-    delays: tuple[float, ...]
-    coincidence_rates: tuple[float, ...]
-    visibility: float
-    scan_T: float
-
-
-def hom_coincidence_prob(T: float, identical: bool) -> float:
-    """Coincidence probability for one photon per input port, same
-    polarization, with identical or orthogonal internal tags: (T - R)^2
-    and T^2 + R^2 (Hong, Ou & Mandel, PRL 59, 2044 (1987)).  The Fock
-    simulator above gives the same numbers; the tests check it does."""
-    if not 0.0 <= T <= 1.0:
-        raise EntconcError(f"transmittivity {T} outside [0, 1]")
-    R = 1.0 - T
-    return (T - R) ** 2 if identical else T**2 + R**2
-
-
-def hom_scan(overlap: float, T: float = 0.5, n_points: int = 41) -> HomScanResult:
-    """Model a delay scan through the Hong-Ou-Mandel dip.
-
-    The temporal overlap follows a Gaussian envelope peaking at ``overlap``
-    for zero delay; each setting mixes the identical-photon and
-    orthogonal-tag coincidence probabilities with that weight.
-    """
-    if not 0.0 <= overlap <= 1.0:
-        raise EntconcError(f"overlap {overlap} outside [0, 1]")
-    c_id = hom_coincidence_prob(T, identical=True)
-    c_dist = hom_coincidence_prob(T, identical=False)
-    delays = np.linspace(-3.0, 3.0, n_points)
-    # Truncated Gaussian envelope, rescaled to hit exactly 0 at the scan
-    # edges and exactly `overlap` at zero delay, so the baseline rate is the
-    # pure distinguishable-photon value.
-    tail = math.exp(-(delays[0] ** 2))
-    envelope = (np.exp(-(delays**2)) - tail) / (1.0 - tail)
-    ov = overlap * np.clip(envelope, 0.0, 1.0)
-    rates = ov * c_id + (1.0 - ov) * c_dist
-    peak = float(rates.max())
-    visibility = 0.0 if peak == 0.0 else float((peak - rates.min()) / peak)
-    return HomScanResult(tuple(delays), tuple(rates), visibility, T)
-
-
-def estimate_overlap(result: HomScanResult) -> float:
-    """Invert the dip visibility back to the overlap used in the scan."""
-    c_id = hom_coincidence_prob(result.scan_T, identical=True)
-    c_dist = hom_coincidence_prob(result.scan_T, identical=False)
-    if c_dist <= c_id:
-        raise ZeroProbabilityError("estimate_overlap: dip has no contrast at this T")
-    return result.visibility * c_dist / (c_dist - c_id)

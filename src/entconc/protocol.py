@@ -54,8 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple_grid
-from .errors import DimensionError, EntconcError
-from .qmath import DensityMatrix, normalize_stack
+from .errors import DimensionError, EntconcError, ZeroProbabilityError
+from .qmath import _TINY, DensityMatrix, normalize_stack
 from .states import MIXED_ENV, SINGLET_STANDARD
 
 # A party's filter: amplitude factors (h, v) on |H> and |V>.
@@ -233,14 +233,18 @@ def sigma3_closed_form(T: float, eps: float) -> DensityMatrix:
     """Filtered-state closed form.
 
     The coherence keeps the sign inherited from sigma_II, -sign(T - R):
-    writing it as -eps*alpha assumes T > 1/2.
+    writing it as -eps*alpha assumes T > 1/2.  A weight below the normal
+    range is zero measure, as in :func:`entconc.qmath.normalize_stack`.
     """
     alpha, delta = sigma3_params(T)
+    weight = 2.0 * eps * alpha + eps**2 * delta
+    if weight < _TINY:
+        raise ZeroProbabilityError(f"sigma3_closed_form: zero-measure state at T={T}")
     m = np.zeros((4, 4), dtype=complex)
     m[1, 1] = m[2, 2] = eps * alpha
     m[1, 2] = m[2, 1] = -np.sign(2.0 * T - 1.0) * eps * alpha
     m[3, 3] = eps**2 * delta
-    return DensityMatrix(m / (2.0 * eps * alpha + eps**2 * delta), (2, 2))
+    return DensityMatrix(m / weight, (2, 2))
 
 
 def c3_closed_form(T: float, eps: float) -> float:

@@ -7,6 +7,7 @@ orthogonal-tag distinguishable-branch model is reported instead of being
 tuned away.
 """
 
+import json
 import time
 
 import numpy as np
@@ -21,9 +22,8 @@ from entconc.cascade import (
     filtered_success_prob,
     simulate_cascade,
 )
-from entconc.channel import CouplingParams, couple
+from entconc.channel import CouplingParams, couple, hom_coincidence
 from entconc.cli import main
-from entconc.fock import estimate_overlap, hom_coincidence_prob, hom_scan
 from entconc.metrics import concurrence, fidelity
 from entconc.protocol import (
     c3_closed_form,
@@ -238,11 +238,12 @@ def test_criterion_6_experimental_comparison_soft():
     )
 
 
-def test_criterion_7_hom_round_trip():
-    res = hom_scan(0.85)
-    err = abs(estimate_overlap(res) - 0.85)
-    c_id = hom_coincidence_prob(0.5, identical=True)
-    c_dist = hom_coincidence_prob(0.5, identical=False)
+def test_criterion_7_hom_round_trip(tmp_path):
+    out = tmp_path / "hom.json"
+    assert main(["hom", "--set", "overlap_grid=0.85", "--format", "json", "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())
+    err = abs(row["p_recovered"] - 0.85)
+    c_id, c_dist = hom_coincidence(0.5, 1.0), hom_coincidence(0.5, 0.0)
     ok = err <= 1e-12 and abs(c_id) <= 1e-12 and abs(c_dist - 0.5) <= 1e-12
     assert _report(
         "criterion 7: HOM visibility estimator and balanced-BS rates",

@@ -384,6 +384,29 @@ class TestHomCommand:
                 float(row["overlap"]), abs=1e-9
             )
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (["overlap_grid=2.0"], "overlap 2.0 outside [0, 1]"),
+            (["overlap_grid=0.5,-0.1"], "overlap -0.1 outside [0, 1]"),
+            (["t=1.5"], "transmittivity 1.5 outside [0, 1]"),
+            (["t=-0.1"], "transmittivity -0.1 outside [0, 1]"),
+            # The first bad overlap wins, before a bad T or a later overlap.
+            (["overlap_grid=0.5,-0.1,2.0"], "overlap -0.1 outside [0, 1]"),
+            (["t=1.5", "overlap_grid=2.0,0.5"], "overlap 2.0 outside [0, 1]"),
+            (["t=1.5", "overlap_grid=0.5,2.0"], "transmittivity 1.5 outside [0, 1]"),
+            # At T = 0 or 1 the photons never meet: there is no dip to read.
+            (["t=0"], "hom: dip has no contrast at this T"),
+            (["t=1"], "hom: dip has no contrast at this T"),
+            (["t=1", "overlap_grid=0.5,2.0"], "hom: dip has no contrast at this T"),
+        ],
+    )
+    def test_bad_input_exits_2(self, settings, message, capsys):
+        argv = ["hom"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert _run(argv, capsys) == (2, "", f"config error: {message}\n")
+
 
 @pytest.mark.parametrize(
     "argv, key, value",
@@ -446,6 +469,14 @@ class TestTomoCommand:
         code, out, err = _run(["tomo", "--set", "state=sigma3", "--set", f"eps={eps}"], capsys)
         assert (code, out) == (2, "")
         assert err == f"config error: epsilon {shown} outside (0, 1]\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", ["0", "5e-324", "1e-160"])
+    def test_sigma3_zero_weight_exits_2(self, t, capsys):
+        # T^2 underflows, so the filtered state has no weight to divide by.
+        code, out, err = _run(["tomo", "--set", "state=sigma3", "--set", f"t={t}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: sigma3_closed_form: zero-measure state at T={float(t)}\n"
 
     def test_ideal_fidelity(self, tmp_path, capsys):
         out = tmp_path / "tomo.csv"

@@ -1,8 +1,12 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
 from entconc import fock
-from entconc.channel import CouplingParams, couple
+from entconc.channel import CouplingParams, couple, hom_coincidence
+from entconc.cli import cmd_hom
 from entconc.states import mixed_env, singlet_standard
 
 
@@ -39,27 +43,32 @@ class TestBeamSplitterUnitary:
 
     def test_hom_bunching(self):
         # Identical photons, one per port, balanced BS: no coincidences.
-        assert fock.hom_coincidence_prob(0.5, identical=True) == pytest.approx(0.0, abs=1e-12)
+        assert hom_coincidence(0.5, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_distinguishable_coincidence(self):
-        assert fock.hom_coincidence_prob(0.5, identical=False) == pytest.approx(0.5, abs=1e-12)
+        assert hom_coincidence(0.5, 0.0) == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("identical", [True, False])
-    def test_coincidence_closed_form_matches_fock_space(self, identical):
-        # hom_coincidence_prob is the closed form; the Fock simulator must
-        # give the same coincidence probability.
-        tag = "s" if identical else "e"
-        state = {fock.occ_key([("B", 0, "s"), ("E", 0, tag)]): 1.0}
+    @pytest.mark.parametrize("p", [0.0, 0.15, 0.5, 0.85, 1.0])
+    def test_coincidence_closed_form_matches_fock_space(self, p):
+        # hom_coincidence is the closed form; mixing the Fock simulator's
+        # identical and orthogonal-tag coincidences with weight p must give
+        # the same probability.
         for T in np.linspace(0.0, 1.0, 101):
-            out = fock.bs_unitary_apply(state, float(T))
-            fock_space = sum(
-                abs(a) ** 2 for k, a in out.items() if fock._one_per_spatial_mode(k)
-            )
-            assert abs(fock.hom_coincidence_prob(float(T), identical) - fock_space) <= 1e-15
+            fock_space = {}
+            for tag in ("s", "e"):
+                state = {fock.occ_key([("B", 0, "s"), ("E", 0, tag)]): 1.0}
+                out = fock.bs_unitary_apply(state, float(T))
+                fock_space[tag] = sum(
+                    abs(a) ** 2 for k, a in out.items() if fock._one_per_spatial_mode(k)
+                )
+            want = p * fock_space["s"] + (1 - p) * fock_space["e"]
+            assert abs(hom_coincidence(float(T), p) - want) <= 1e-15
 
     def test_coincidence_rejects_bad_transmittivity(self):
-        with pytest.raises(fock.EntconcError):
-            fock.hom_coincidence_prob(1.5, identical=True)
+        with pytest.raises(fock.EntconcError, match="transmittivity 1.5"):
+            hom_coincidence(1.5, 1.0)
+        with pytest.raises(fock.EntconcError, match="indistinguishability 1.5"):
+            hom_coincidence(0.5, 1.5)
 
     def test_two_photon_rule_coefficients(self):
         # One photon per port, same polarization and tag: the
@@ -106,21 +115,30 @@ class TestPostselection:
             normalize(block, (2, 2, 2))
 
 
+def _hom_rows(T, overlaps):
+    """The rows ``entconc hom`` prints for this T and overlap grid."""
+    out = io.StringIO()
+    cmd_hom({"t": repr(T), "overlap_grid": ",".join(map(repr, overlaps))}, out, "json")
+    return json.loads(out.getvalue())
+
+
 class TestHomScan:
+    """``entconc hom`` over an overlap grid, from the closed-form dip."""
+
     def test_perfect_dip(self):
-        res = fock.hom_scan(1.0)
-        assert min(res.coincidence_rates) == pytest.approx(0.0, abs=1e-12)
-        assert res.visibility == pytest.approx(1.0, abs=1e-12)
+        (row,) = _hom_rows(0.5, [1.0])
+        assert row["dip_rate"] == pytest.approx(0.0, abs=1e-12)
+        assert row["visibility"] == pytest.approx(1.0, abs=1e-12)
 
     def test_no_overlap(self):
-        res = fock.hom_scan(0.0)
-        assert res.visibility == pytest.approx(0.0, abs=1e-12)
+        (row,) = _hom_rows(0.5, [0.0])
+        assert row["visibility"] == pytest.approx(0.0, abs=1e-12)
 
     def test_estimator_round_trip(self):
-        for p in (0.85, 0.3, 0.999):
-            res = fock.hom_scan(p)
-            assert fock.estimate_overlap(res) == pytest.approx(p, abs=1e-12)
+        for row in _hom_rows(0.5, [0.85, 0.3, 0.999]):
+            assert row["p_recovered"] == pytest.approx(row["overlap"], abs=1e-12)
 
     def test_round_trip_off_balanced(self):
-        res = fock.hom_scan(0.6, T=0.4)
-        assert fock.estimate_overlap(res) == pytest.approx(0.6, abs=1e-12)
+        (row,) = _hom_rows(0.4, [0.6])
+        assert row["dip_rate"] == hom_coincidence(0.4, 0.6)
+        assert row["p_recovered"] == pytest.approx(0.6, abs=1e-12)

@@ -1,11 +1,12 @@
 """CLI output against committed reference files.
 
 ``tests/golden/cases.json`` lists the five criterion-9 configs, the five
-README examples and four ``table_*`` cases that fill whole ``protocol``,
-``cascade`` and ``sweep-coupling`` tables (many T points and eps values, raw
-filters, feed-forward, a depth-24 cascade at p = 0.85, and a 129-point
-sweep at p = 0.85 that spans several coupling stacks); each case's data
-output is
+README examples and five ``table_*`` cases that fill whole ``protocol``,
+``cascade``, ``sweep-coupling`` and ``hom`` tables (many T points and eps
+values, raw filters, feed-forward, a depth-24 cascade at p = 0.85, a
+129-point sweep at p = 0.85 that spans several coupling stacks, and a
+53-overlap HOM dip at T = 0.4, where no coincidence rate is 0); each case's
+data output is
 ``tests/golden/<name>.out`` and its printed notes are stored beside its argv.
 The files were written by
 ``python -m entconc.cli <argv> --out tests/golden/<name>.out``.
