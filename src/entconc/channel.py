@@ -34,10 +34,11 @@ factor by which one coupling and an H measurement scale the VH population.
 
 Stack contract: the map is one kernel, :func:`couple_grid`, over a vector of
 T (a sequence of :class:`CouplingParams`) at one p.  It builds the n
-operators as one ``(n, 8, 8)`` stack and normalizes them with
-:func:`entconc.qmath.normalize_stack`.  :func:`couple` is its k = 1 case.
-Each state and probability is bitwise the one its T gets alone, and a stack
-that fails raises what its first bad T raises alone.
+operators as one ``(n, 8, 8)`` stack (``_coupling_ops``), applies them
+(``_apply_ops``) and normalizes them with :func:`entconc.qmath.normalize_stack`.
+:func:`couple` is its k = 1 case; the cascade applies slice i of one stack
+at depth i.  Each state and probability is bitwise the one its T gets
+alone, and a stack that fails raises what its first bad T raises alone.
 """
 
 from __future__ import annotations
@@ -132,6 +133,13 @@ def couple_grid(
         raise DimensionError(f"couple: signal dims {signal.dims}, expected (2, 2)")
     if env.dims != (2,):
         raise DimensionError(f"couple: env dims {env.dims}, expected (2,)")
+    unnorm = _apply_ops(kron(signal.mat, env.mat), model.p, *_coupling_ops(params))
+    states, probs = normalize_stack(unnorm, (2, 2, 2))
+    return [PostSelectedState(rho, prob) for rho, prob in zip(states, probs)]
+
+
+def _coupling_ops(params: Sequence[CouplingParams]) -> tuple[np.ndarray, ...]:
+    """The (op, op^H, T^2, R^2) stack of the couplings in ``params``."""
     # Per coupling: the entries _OP_INDEX picks from, then T^2 and R^2 by
     # Python's float power, which can differ from T * T in the last bit.
     # numpy multiplies a complex array by a float as by the complex float,
@@ -140,17 +148,18 @@ def couple_grid(
         [(c.T - c.R, c.T, -c.R, 0.0, 0.0 * (c.T - c.R), -0.0, c.T**2, c.R**2) for c in params],
         dtype=complex,
     ).reshape(-1, 8)
-    joint = kron(signal.mat, env.mat)
+    op = entries[:, _OP_INDEX]
+    return op, op.conj().swapaxes(-1, -2), entries[:, 6, None, None], entries[:, 7, None, None]
+
+
+def _apply_ops(joint: np.ndarray, p: float, op, op_h, t2, r2) -> np.ndarray:
+    """The unnormalized Kraus map of a ``_coupling_ops`` stack on ``joint``."""
     unnorm = 0.0
-    if model.p > 0.0:
-        op = entries[:, _OP_INDEX]
-        unnorm = model.p * (op @ joint @ op.conj().swapaxes(-1, -2))
-    if model.p < 1.0:
-        swapped = joint[_SWAP_ABE]
-        t2, r2 = entries[:, 6, None, None], entries[:, 7, None, None]
-        unnorm = unnorm + (1.0 - model.p) * (t2 * joint + r2 * swapped)
-    states, probs = normalize_stack(unnorm, (2, 2, 2))
-    return [PostSelectedState(rho, prob) for rho, prob in zip(states, probs)]
+    if p > 0.0:
+        unnorm = p * (op @ joint @ op_h)
+    if p < 1.0:
+        unnorm = unnorm + (1.0 - p) * (t2 * joint + r2 * joint[_SWAP_ABE])
+    return unnorm
 
 
 def hom_coincidence(T: float, p: float) -> float:

@@ -117,11 +117,7 @@ def measure_env_stack(states: Sequence[PostSelectedState], result: str) -> list[
     if not states:
         return []
     i = {"H": 0, "V": 1}[result]
-    # One state is stacked as a view; the blocks below are a new array.
-    if len(states) == 1:
-        mats = states[0].rho.mat[None]
-    else:
-        mats = np.array([state.rho.mat for state in states])
+    mats = np.array([state.rho.mat for state in states])
     # Rows and columns with E = i: the [:, i, :, i] block of each state
     # reshaped to (4, 2, 4, 2).  The + 0.0 turns -0.0 into +0.0, the sign
     # the projector product gives.
@@ -135,7 +131,12 @@ def outcome_probabilities(state: PostSelectedState) -> tuple[float, float]:
     trace over B, then A, would add them."""
     if state.rho.dims != (2, 2, 2):
         raise DimensionError(f"outcome_probabilities: dims {state.rho.dims}, expected 3 qubits")
-    d = state.rho.mat.diagonal().real
+    return _env_sums(state.rho.mat)
+
+
+def _env_sums(mat: np.ndarray) -> tuple[float, float]:
+    """:func:`outcome_probabilities` of an (A, B, E) matrix."""
+    d = mat.diagonal().real
     return float((d[0] + d[2]) + (d[4] + d[6])), float((d[1] + d[3]) + (d[5] + d[7]))
 
 
@@ -220,26 +221,25 @@ def epsilon_filter(states: Sequence[DensityMatrix], eps: float) -> list[PostSele
 # --- closed forms -----------------------------------------------------------
 
 
-def sigma3_params(T: float) -> tuple[float, float]:
-    """(alpha, delta) of the filtered-state closed form at this T."""
+def _sigma3_weight(T: float, eps: float) -> tuple[float, float, float]:
+    """(alpha, delta) of sigma_III at this T and its weight, checked for the
+    three sigma_III forms by :func:`entconc.qmath.normalize_stack`'s rule."""
     R = CouplingParams(T).R
     d = abs(2.0 * T - 1.0)
-    if T > d:
-        return (2.0 * T - 1.0) ** 2, R**2
-    return T**2, (T * R / (R - T)) ** 2
+    alpha, delta = ((2.0 * T - 1.0) ** 2, R**2) if T > d else (T**2, (T * R / (R - T)) ** 2)
+    weight = 2.0 * eps * alpha + eps**2 * delta
+    if weight < _TINY:
+        raise ZeroProbabilityError(f"sigma3_closed_form: zero-measure state at T={T}")
+    return alpha, delta, weight
 
 
 def sigma3_closed_form(T: float, eps: float) -> DensityMatrix:
     """Filtered-state closed form.
 
     The coherence keeps the sign inherited from sigma_II, -sign(T - R):
-    writing it as -eps*alpha assumes T > 1/2.  A weight below the normal
-    range is zero measure, as in :func:`entconc.qmath.normalize_stack`.
+    writing it as -eps*alpha assumes T > 1/2.
     """
-    alpha, delta = sigma3_params(T)
-    weight = 2.0 * eps * alpha + eps**2 * delta
-    if weight < _TINY:
-        raise ZeroProbabilityError(f"sigma3_closed_form: zero-measure state at T={T}")
+    alpha, delta, weight = _sigma3_weight(T, eps)
     m = np.zeros((4, 4), dtype=complex)
     m[1, 1] = m[2, 2] = eps * alpha
     m[1, 2] = m[2, 1] = -np.sign(2.0 * T - 1.0) * eps * alpha
@@ -248,13 +248,12 @@ def sigma3_closed_form(T: float, eps: float) -> DensityMatrix:
 
 
 def c3_closed_form(T: float, eps: float) -> float:
-    alpha, delta = sigma3_params(T)
-    return 2.0 * eps * alpha / (2.0 * eps * alpha + eps**2 * delta)
+    alpha, _, weight = _sigma3_weight(T, eps)
+    return 2.0 * eps * alpha / weight
 
 
 def p3_closed_form(T: float, eps: float) -> float:
-    alpha, delta = sigma3_params(T)
-    return (2.0 * eps * alpha + eps**2 * delta) / 4.0
+    return _sigma3_weight(T, eps)[2] / 4.0
 
 
 # --- full protocol ----------------------------------------------------------

@@ -23,15 +23,16 @@ that fails is checked again one state at a time, so it raises exactly the
 error, type and message, that its first bad state raises on its own.
 :func:`psd_sqrt` takes such a stack's ``(w, V)`` as well.
 
-States are built from stacks too.  :func:`normalize_stack` tests each of k
-unnormalized operators for zero measure and validates the k quotients with
-one :func:`_validate` call; each state keeps its slices of the quotient and
-of ``(w, V)``.  :func:`normalize` is its k = 1 case, and the constructor
-sets up its one state the same way (``_settle``), so every state is
-validated exactly once.  A failing stack raises what a loop over its
-operators raises at the first bad one.  :func:`ptrace_stack` builds the
-marginals of k states the same way, and ``DensityMatrix.ptrace`` is its
-k = 1 case.
+States are built from stacks too.  :func:`normalize_stack` is two steps:
+``_quotients`` tests each of k unnormalized operators for zero measure, and
+``_settle`` validates the k quotients with one :func:`_validate` call; each
+state keeps its slices of the quotient and of ``(w, V)``.  The cascade
+settles its N couplings' quotients as one stack.  :func:`normalize` is its
+k = 1 case, and the constructor sets up its one state the same way
+(``_settle``), so every state is validated exactly once.  A failing stack
+raises what a loop over its operators raises at the first bad one.
+:func:`ptrace_stack` builds the marginals of k states the same way, and
+``DensityMatrix.ptrace`` is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -227,8 +228,14 @@ def normalize_stack(
     its k states and their weights (the traces), as k :func:`normalize`
     calls would, with one validation for the stack.  A failing stack raises
     (or warns) what that loop would at its first bad operator."""
-    if not len(unnorm):
-        return [], []
+    mats, weights = _quotients(unnorm, dims)
+    states = [object.__new__(DensityMatrix) for _ in weights]
+    _settle(states, mats, tuple(map(int, dims)))
+    return states, weights
+
+
+def _quotients(unnorm: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, list[float]]:
+    """:func:`normalize_stack` up to validation: the quotients and weights."""
     traces = unnorm.trace(0, -2, -1).real
     weights = traces.tolist()
     # Relative cutoff: a PSD operator with any appreciable entry has a trace
@@ -243,19 +250,17 @@ def normalize_stack(
         if not (w >= _TINY and w > ATOL * s):
             break
         k += 1
-    states = [object.__new__(DensityMatrix) for _ in range(k)]
-    if k:
-        # The quotient is a new array, so the states own it.
-        mats = unnorm[:k] / traces[:k, None, None]
-        _settle(states, mats.astype(complex, copy=False), tuple(map(int, dims)))
+    # The quotient is a new array, so the states built on it own it.
+    mats = (unnorm[:k] / traces[:k, None, None]).astype(complex, copy=False)
     if k < len(weights):
+        _validate(mats, dims)
         w, s = weights[k], scales[k]
         if not (w < _TINY or w <= ATOL * s):
             # NaN: divided on its own, numpy warns as it would in a loop of
             # normalize calls, and the constructor rejects the NaN state.
             DensityMatrix(unnorm[k] / traces[k], dims)
         raise ZeroProbabilityError("normalize: zero-measure operator")
-    return states, weights
+    return mats, weights
 
 
 def normalize(unnorm: np.ndarray, dims: tuple[int, ...]) -> tuple[DensityMatrix, float]:

@@ -1,11 +1,15 @@
 """Shared test helpers: random states and unitaries, sigma_II, and the
 reference forms (kets, X-form test and concurrence, feed-forward
-correction, per-projector Born probabilities) that only the tests use."""
+correction, per-projector Born probabilities, the coupling-by-coupling
+cascade) that only the tests use."""
 
 import numpy as np
 
-from entconc.cascade import CascadeParams, closed_form_state, coefficients
+from entconc.cascade import CascadeParams, cascade_filter, closed_form_state, coefficients
+from entconc.channel import CouplingParams, IndistinguishabilityModel, couple
+from entconc.protocol import ProtocolTrace, measure_env, outcome_probabilities
 from entconc.qmath import ATOL, DensityMatrix, kron
+from entconc.states import MIXED_ENV, SINGLET_STANDARD
 from entconc.tomography import PROJECTORS
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
@@ -65,3 +69,23 @@ def concurrence_x_form(rho: DensityMatrix) -> float:
     inner = abs(m[1, 2]) - np.sqrt(max(m[0, 0].real, 0.0) * max(m[3, 3].real, 0.0))
     outer = abs(m[0, 3]) - np.sqrt(max(m[1, 1].real, 0.0) * max(m[2, 2].real, 0.0))
     return float(max(0.0, 2.0 * inner, 2.0 * outer))
+
+
+def stepwise_cascade(params: CascadeParams, p: float) -> ProtocolTrace:
+    """The reference for ``simulate_cascade``: one ``couple``,
+    ``outcome_probabilities`` and ``measure_env`` call per coupling, each
+    state validated as it is built, then ``cascade_filter``."""
+    model = IndistinguishabilityModel(p)
+    trace = ProtocolTrace()
+    state = SINGLET_STANDARD
+    trace.record("input", state, 1.0)
+    for i, t in enumerate(params.transmittivities):
+        coupled = couple(state, MIXED_ENV, CouplingParams(t), model)
+        trace.record(f"coupled_{i + 1}", coupled.rho, coupled.success_prob)
+        prob_h, _ = outcome_probabilities(coupled)
+        measured = measure_env(coupled, "H")
+        trace.record(f"measured_{i + 1}", measured.rho, prob_h)
+        state = measured.rho
+    filtered = cascade_filter(state, params.eps)
+    trace.record("filtered", filtered.rho, filtered.success_prob)
+    return trace

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from entconc import qmath
 from entconc.cascade import (
     CascadeParams,
     cascade_filter,
@@ -17,8 +18,10 @@ from entconc.cascade import (
 from entconc.errors import DegenerateCouplingError, EntconcError
 from entconc.metrics import concurrence
 from entconc.protocol import apply_filter, run_protocol
+from helpers import stepwise_cascade
 
 SQ3 = 1.0 / np.sqrt(3)
+EDGE_TS = [0.0, 0.5, 1.0, float(SQ3), float(1 - SQ3), 5e-324, 1e-160, 1 - 1e-16]
 
 
 def _cumulative(trace):
@@ -211,3 +214,72 @@ class TestProtocolIsOneStageCascade:
             assert got.state.dims == want.state.dims
             assert got.state.mat.tobytes() == want.state.mat.tobytes()
             assert got.step_prob == want.step_prob
+
+
+def _run_bits(run, params, p):
+    """Each step's name, state bytes (matrix and decomposition) and
+    probability bits, or the type and message of what the run raises."""
+    try:
+        trace = run(params, p)
+    except Exception as err:
+        return type(err), str(err)
+    return [
+        (
+            s.name,
+            s.state.dims,
+            s.state.mat.tobytes(),
+            s.state.eig[0].tobytes(),
+            s.state.eig[1].tobytes(),
+            float(s.step_prob).hex(),
+        )
+        for s in trace.steps
+    ]
+
+
+class TestStackedDriver:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ts=st.lists(st.sampled_from(EDGE_TS) | st.floats(0.0, 1.0), min_size=1, max_size=40),
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        eps=st.floats(1e-3, 1.0),
+    )
+    @example(ts=[0.37] * 24, p=0.85, eps=1.0)
+    @example(ts=[0.4] * 40, p=1.0, eps=0.25)
+    @example(ts=[0.3, 0.0, 0.6], p=1.0, eps=1.0)
+    @example(ts=[0.5, 0.5, 0.0], p=1.0, eps=1.0)
+    @example(ts=[0.5, 1.0, 1e-160], p=1.0, eps=1.0)
+    @example(ts=[1e-160, 0.4], p=0.85, eps=0.5)
+    def test_matches_stepwise_chain(self, ts, p, eps):
+        # One operator stack and one snapshot validation give, bit for bit,
+        # the states, decompositions and probabilities of the
+        # coupling-by-coupling chain, or the error it raises first.
+        params = CascadeParams(tuple(ts), eps=eps)
+        assert _run_bits(simulate_cascade, params, p) == _run_bits(stepwise_cascade, params, p)
+
+    def test_snapshots_validated_as_one_stack(self, monkeypatch):
+        # Each 4x4 carrier is validated at its depth (and the filtered state
+        # once); the 24 coupled 8x8 snapshots in one call.
+        calls = []
+        real = qmath._validate
+
+        def counting(mats, dims):
+            calls.append((len(dims), len(mats)))
+            return real(mats, dims)
+
+        monkeypatch.setattr(qmath, "_validate", counting)
+        simulate_cascade(CascadeParams((0.37,) * 24, eps=0.3), 0.85)
+        assert [k for n, k in calls if n == 3] == [24]
+        assert [k for n, k in calls if n == 2] == [1] * 25
+
+    @pytest.mark.parametrize(
+        "ts, p, error",
+        [
+            ((0.3, 0.0, 0.6), 1.0, "cascade filter needs A_N > 0"),
+            ((0.5, 0.5, 0.0), 1.0, "normalize: zero-measure operator"),
+            ((0.5, 1.0, 1e-160), 1.0, "normalize: zero-measure operator"),
+        ],
+    )
+    def test_failing_chains_fail_alike(self, ts, p, error):
+        got = _run_bits(simulate_cascade, CascadeParams(ts), p)
+        assert got == _run_bits(stepwise_cascade, CascadeParams(ts), p)
+        assert got[1] == error

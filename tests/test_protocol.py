@@ -195,6 +195,20 @@ class TestEpsilonFilter:
         assert is_x_form(out)
         assert abs(out.mat[0, 0]) < 1e-12
 
+    @pytest.mark.parametrize("form", [sigma3_closed_form, c3_closed_form, p3_closed_form])
+    @pytest.mark.parametrize("T", [0.0, 5e-324, 1e-160])
+    def test_zero_weight_is_zero_measure(self, form, T):
+        # The weight 2 eps alpha + eps^2 delta is 0 or subnormal: each sigma_III
+        # form raises the typed error instead of dividing by it.
+        with pytest.raises(ZeroProbabilityError, match=f"zero-measure state at T={T}"):
+            form(T, 0.25)
+
+    def test_small_normal_weight_keeps_its_limit(self):
+        # At T = 1e-150 the weight is ~5.6e-301, still normal: C_III is the
+        # T -> 0 limit 2 / (2 + eps) and P_III the weight over 4.
+        assert c3_closed_form(1e-150, 0.25) == pytest.approx(2.0 / 2.25, rel=1e-14)
+        assert p3_closed_form(1e-150, 0.25) == pytest.approx(0.5625e-300 / 4.0, rel=1e-14)
+
 
 def _with_signed_zeros(m, rng):
     """A state with +0.0 and -0.0 planted in ``m``: D m D for a random

@@ -293,6 +293,9 @@ class TestNormalizeStack:
         with pytest.raises(ValueError):
             states[0].mat[0, 0] = 1.0
 
+    def test_empty_stack(self):
+        assert normalize_stack(np.zeros((0, 4, 4), dtype=complex), (2, 2)) == ([], [])
+
 
 # --- validation against a reference implementation --------------------------
 
