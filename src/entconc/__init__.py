@@ -8,9 +8,10 @@ Library layout:
                             kernel over a T grid, ``couple`` its one-T case,
                             and the HOM dip in the same mixture form
 - :mod:`entconc.fock`       brute-force second-quantized oracle (tests)
-- :mod:`entconc.protocol`   environment measurement and filtration (II, III)
-- :mod:`entconc.cascade`    N sequential couplings and joint filtration; its
-                            closed forms at N = 1 are sigma_II and P_II
+- :mod:`entconc.protocol`   the one coupling-and-measurement driver (I, II)
+                            of k chains of N couplings, and filtration (III)
+- :mod:`entconc.cascade`    one chain of that driver and joint filtration;
+                            its closed forms at N = 1 are sigma_II and P_II
 - :mod:`entconc.metrics`    concurrence, fidelity, purity
 - :mod:`entconc.tomography` simulated 16-setting state tomography
 - :mod:`entconc.cli`        parameter sweeps with CSV/JSON output

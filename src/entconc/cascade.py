@@ -21,9 +21,9 @@ The ``C_filt_eps_*`` and ``P_III_eps_*`` columns of ``entconc cascade`` are
 :func:`filtered_concurrence` and :func:`filtered_success_prob` of these
 coefficients whatever ``p`` is; only ``C_sim`` depends on ``p``.
 
-Stack contract along the depth axis: each measured carrier is validated at
-its depth and the N coupled snapshots as one stack; a failing chain raises
-what a coupling-by-coupling loop raises first.
+Stack contract along the depth axis: :func:`simulate_cascade` is the k = 1
+case of :func:`entconc.protocol.couple_measure_chains`, which validates each
+carrier at its depth and the N coupled snapshots as one stack.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState
-from .channel import _apply_ops, _coupling_ops
+from .channel import CouplingParams, PostSelectedState
 from .errors import DegenerateCouplingError, EntconcError, ZeroProbabilityError
-from .protocol import ProtocolTrace, _env_sums, apply_filter
-from .qmath import DensityMatrix, _quotients, _settle, kron, normalize_stack
-from .states import MIXED_ENV, SINGLET_STANDARD
+from .protocol import ProtocolTrace, apply_filter, couple_measure_chains
+from .qmath import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -152,26 +150,10 @@ def cascade_filter(state: DensityMatrix, eps: float) -> PostSelectedState:
 
 
 def simulate_cascade(params: CascadeParams, p: float = 1.0) -> ProtocolTrace:
-    """Step-by-step simulation of N couplings from one operator stack, each
-    followed by an H-outcome measurement of the fresh environment, then one
-    joint filtration.  Each carrier is validated at its depth, the N coupled
-    snapshots as one stack, and errors are the coupling-by-coupling chain's."""
-    p = IndistinguishabilityModel(p).p
-    ops = _coupling_ops([CouplingParams(t) for t in params.transmittivities])
-    trace = ProtocolTrace()
-    state = SINGLET_STANDARD
-    trace.record("input", state, 1.0)
-    quotients = np.empty((params.n, 8, 8), dtype=complex)
-    try:
-        for i in range(params.n):
-            unnorm = _apply_ops(kron(state.mat, MIXED_ENV.mat), p, *(x[i : i + 1] for x in ops))
-            quotients[i : i + 1], (weight,) = _quotients(unnorm, (2, 2, 2))
-            trace.record(f"coupled_{i + 1}", object.__new__(DensityMatrix), weight)
-            (state,), _ = normalize_stack(quotients[i : i + 1, ::2, ::2] + 0.0, (2, 2))
-            trace.record(f"measured_{i + 1}", state, _env_sums(quotients[i])[0])
-    finally:
-        snapshots = [step.state for step in trace.steps[1::2]]
-        _settle(snapshots, quotients[: len(snapshots)], (2, 2, 2))
-    filtered = cascade_filter(state, params.eps)
+    """N couplings, each followed by an H-outcome measurement of the fresh
+    environment (:func:`entconc.protocol.couple_measure_chains` with one
+    chain), then one joint filtration."""
+    (trace,) = couple_measure_chains([params.transmittivities], p)
+    filtered = cascade_filter(trace.final_state, params.eps)
     trace.record("filtered", filtered.rho, filtered.success_prob)
     return trace

@@ -36,9 +36,9 @@ Stack contract: the map is one kernel, :func:`couple_grid`, over a vector of
 T (a sequence of :class:`CouplingParams`) at one p.  It builds the n
 operators as one ``(n, 8, 8)`` stack (``_coupling_ops``), applies them
 (``_apply_ops``) and normalizes them with :func:`entconc.qmath.normalize_stack`.
-:func:`couple` is its k = 1 case; the cascade applies slice i of one stack
-at depth i.  Each state and probability is bitwise the one its T gets
-alone, and a stack that fails raises what its first bad T raises alone.
+:func:`couple` is its k = 1 case; ``protocol.couple_measure_chains`` applies
+slice i of one stack to k states at stage i.  Each state and probability is
+bitwise the one its T gets alone; a failing stack fails as its first bad T.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class PostSelectedState:
 
 
 # SWAP on (B, E) of the (A, B, E) space, which exchanges |HV> and |VH> of
-# (B, E), as the row and column permutation SWAP rho SWAP applies.
-_SWAP_ABE = np.ix_([0, 2, 1, 3, 4, 6, 5, 7], [0, 2, 1, 3, 4, 6, 5, 7])
+# (B, E), as the permutation SWAP rho SWAP applies to the last two axes.
+_SWAP_ABE = (..., *np.ix_([0, 2, 1, 3, 4, 6, 5, 7], [0, 2, 1, 3, 4, 6, 5, 7]))
 # kron(I, block) of the 4x4 post-selected amplitude map on B x E,
 #
 #     block = [[T - R, 0,  0,  0    ],

@@ -12,18 +12,19 @@ per table.  Each state is built once.  ``sweep-coupling`` and ``protocol``
 run their T grid in stacks of ``_GRID_CHUNK`` points: ``sweep-coupling``
 couples each stack (:func:`entconc.channel.couple_grid`) and computes its
 pair concurrences per point; ``protocol`` couples and measures each stack
-(:func:`entconc.protocol.couple_measure_grid`), traces out E as one stack
-(:func:`entconc.qmath.ptrace_stack`) and filters it with one
+as one-coupling chains of :func:`entconc.protocol.couple_measure_chains`,
+traces out E as one stack and filters it with one
 :func:`entconc.protocol.filtration` call: one rebalance stack, one eps
 stack per column branching from it, and one raw-filter stack.  Every cell
 is computed, at T = 1/2 too, and a chunk that fails raises what a per-T
-loop raises first.
-``cascade`` reads the closed forms of every depth from one pass of the
-recurrence (:func:`entconc.cascade.coefficient_prefixes`).
+loop raises first.  ``cascade`` runs one chain of the same driver and
+reads the closed forms of every depth from one pass of the recurrence
+(:func:`entconc.cascade.coefficient_prefixes`).
 
 List keys take comma-separated floats, and blank entries are skipped.  An
-empty grid (``t_grid``, ``overlap_grid``) or an eps outside (0, 1] is a
-config error; an empty ``eps_list`` means no filter columns.
+empty grid (``t_grid``, ``overlap_grid``), an eps outside (0, 1] or any
+``t_list`` entry outside [0, 1] is a config error; an empty ``eps_list``
+means no filter columns.
 
 Exit codes: 0 success, 2 config error, 3 numeric contract violation.
 """
@@ -242,6 +243,8 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
     header = ["N", "C_closed", "C_sim", "P_N"]
     for e in eps_list:
         header += [f"C_filt_eps_{e:g}", f"P_III_eps_{e:g}"]
+    # Every t_list entry must be a transmittivity, not only the first n_max.
+    CascadeParams(tuple(t_all))
     # Simulate to n_max once and read each prefix from its measured_N step;
     # A_N only shrinks with N, so the one filtration fails iff a prefix's would.
     # Only C_sim sees p: C_closed, P_N and the C_filt_eps_*/P_III_eps_* columns

@@ -13,13 +13,14 @@ P_II = (T^2 + (T-R)^2 + R^2) / 4 and C_II = T |T-R| / (2 P_II), is the N = 1
 case of :mod:`entconc.cascade` (``closed_form_state``, ``p_success`` and
 ``closed_form_concurrence`` of ``coefficients(CascadeParams((T,)))``).
 
-Stack contract: :func:`couple_measure_grid` runs the coupling (I) and the
-measurement (II) of a whole T grid, as one :func:`entconc.channel.couple_grid`
-stack and one :func:`measure_env_stack`, whose E blocks are normalized by
-one :func:`entconc.qmath.normalize_stack` call.  :func:`measure_env` and
-:func:`run_protocol` are their k = 1 cases, and each state and probability
-is bitwise the one its T gets alone; a failing stack raises what its first
-bad state raises alone.  The filters (III) follow the same contract:
+Stack contract: one driver, :func:`couple_measure_chains`, couples (I) and
+measures (II) k chains of N couplings.  :func:`couple_measure_grid` (so
+:func:`run_protocol`) is its N = 1 case over a T grid and
+:func:`entconc.cascade.simulate_cascade` its k = 1 case.  Each state and
+probability is bitwise what a loop of ``couple``, :func:`measure_env` and
+:func:`outcome_probabilities` gives; a failing stack raises what its first
+bad state raises alone, a stage's coupled states checked before its
+measured ones.  The filters (III) follow the same contract:
 :func:`apply_filter_stack` filters k states, each with its own amplitude
 pairs, and normalizes them with one ``normalize_stack`` call.
 :func:`apply_filter` is its k = 1 case, and :func:`rebalance_filter`,
@@ -53,9 +54,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState, couple_grid
+from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState
+from .channel import _apply_ops, _coupling_ops
 from .errors import DimensionError, EntconcError, ZeroProbabilityError
-from .qmath import _TINY, DensityMatrix, normalize_stack
+from .qmath import _TINY, DensityMatrix, _quotients, _settle, kron, normalize, normalize_stack
 from .states import MIXED_ENV, SINGLET_STANDARD
 
 # A party's filter: amplitude factors (h, v) on |H> and |V>.
@@ -98,31 +100,20 @@ class ProtocolTrace:
 
 
 def measure_env(state: PostSelectedState, result: str) -> PostSelectedState:
-    """Project the environment qubit onto |H> or |V>, trace it out:
-    :func:`measure_env_stack` with one state.
+    """Project the environment qubit onto |H> or |V>, trace it out.
 
     The returned success probability is the input one multiplied by the
     outcome probability, so the H branch of the ideal chain carries exactly
     P_II.
     """
-    return measure_env_stack([state], result)[0]
-
-
-def measure_env_stack(states: Sequence[PostSelectedState], result: str) -> list[PostSelectedState]:
-    """:func:`measure_env` of each three-qubit state, as one stack of E
-    blocks normalized by one :func:`entconc.qmath.normalize_stack` call."""
-    for state in states:
-        if state.rho.dims != (2, 2, 2):
-            raise DimensionError(f"measure_env: dims {state.rho.dims}, expected 3 qubits")
-    if not states:
-        return []
+    if state.rho.dims != (2, 2, 2):
+        raise DimensionError(f"measure_env: dims {state.rho.dims}, expected 3 qubits")
     i = {"H": 0, "V": 1}[result]
-    mats = np.array([state.rho.mat for state in states])
-    # Rows and columns with E = i: the [:, i, :, i] block of each state
+    # Rows and columns with E = i: the [:, i, :, i] block of the state
     # reshaped to (4, 2, 4, 2).  The + 0.0 turns -0.0 into +0.0, the sign
     # the projector product gives.
-    rhos, probs = normalize_stack(mats[:, i::2, i::2] + 0.0, (2, 2))
-    return [PostSelectedState(rho, s.success_prob * w) for rho, s, w in zip(rhos, states, probs)]
+    rho, prob = normalize(state.rho.mat[i::2, i::2] + 0.0, (2, 2))
+    return PostSelectedState(rho, state.success_prob * prob)
 
 
 def outcome_probabilities(state: PostSelectedState) -> tuple[float, float]:
@@ -131,12 +122,7 @@ def outcome_probabilities(state: PostSelectedState) -> tuple[float, float]:
     trace over B, then A, would add them."""
     if state.rho.dims != (2, 2, 2):
         raise DimensionError(f"outcome_probabilities: dims {state.rho.dims}, expected 3 qubits")
-    return _env_sums(state.rho.mat)
-
-
-def _env_sums(mat: np.ndarray) -> tuple[float, float]:
-    """:func:`outcome_probabilities` of an (A, B, E) matrix."""
-    d = mat.diagonal().real
+    d = state.rho.mat.diagonal().real
     return float((d[0] + d[2]) + (d[4] + d[6])), float((d[1] + d[3]) + (d[5] + d[7]))
 
 
@@ -277,13 +263,45 @@ def run_protocol(
     return trace
 
 
+def couple_measure_chains(ts: Sequence[Sequence[float]], p: float = 1.0) -> list[ProtocolTrace]:
+    """k chains of N couplings of the singlet, ``ts`` of shape (k, N), from
+    one operator stack.  Stage i couples each carrier with a fresh mixed
+    environment (``coupled_i``); the H outcome, of probability P(H), is the
+    next carrier (``measured_i``), the k of a stage normalized as one stack.
+    The k N coupled states are validated as one stack after the loop, or,
+    if it raises, those made so far.  The working set grows with k N."""
+    params = [CouplingParams(t) for chain in ts for t in chain]
+    p = IndistinguishabilityModel(p).p
+    k, n = len(ts), len(ts[0]) if ts else 0
+    ops = [x.reshape(k, n, *x.shape[1:]) for x in _coupling_ops(params)]
+    traces = [ProtocolTrace([ProtocolStep("input", SINGLET_STANDARD, 1.0)]) for _ in range(k)]
+    carriers = SINGLET_STANDARD.mat[None]
+    quotients = np.empty((n, k, 8, 8), dtype=complex)
+    snapshots, stages = [], []
+    try:
+        for i in range(n):
+            unnorm = _apply_ops(kron(carriers, MIXED_ENV.mat), p, *(x[:, i] for x in ops))
+            quotients[i], weights = _quotients(unnorm, (2, 2, 2))
+            snapshots += [object.__new__(DensityMatrix) for _ in weights]
+            states, _ = normalize_stack(quotients[i, :, ::2, ::2] + 0.0, (2, 2))
+            carriers = np.array([rho.mat for rho in states])
+            stages.append((weights, states))
+    finally:
+        _settle(snapshots, quotients.reshape(-1, 8, 8)[: len(snapshots)], (2, 2, 2))
+    for c, trace in enumerate(traces):
+        for i, (weights, states) in enumerate(stages):
+            coupled = PostSelectedState(snapshots[i * k + c], weights[c])
+            trace.record(f"coupled_{i + 1}", coupled.rho, coupled.success_prob)
+            trace.record(f"measured_{i + 1}", states[c], outcome_probabilities(coupled)[0])
+    return traces
+
+
 def couple_measure_grid(
     ts: Sequence[float], p: float = 1.0, feed_forward_enabled: bool = False
 ) -> list[ProtocolTrace]:
     """The input, coupled and measured stages of :func:`run_protocol` at
-    each T: one :func:`entconc.channel.couple_grid` stack, then one
-    :func:`measure_env_stack`.  The stack's working set grows with
-    ``len(ts)``: chunk long grids.
+    each T: :func:`couple_measure_chains` with one coupling per chain.  The
+    stack's working set grows with ``len(ts)``: chunk long grids.
 
     The filtered chain follows the H measurement branch.  With feed-forward
     enabled the V branch is kept too, corrected by the local unitary
@@ -300,18 +318,12 @@ def couple_measure_grid(
     Projecting E onto |V> = X|H> therefore gives exactly X_A X_B (H branch)
     X_A X_B.
     """
-    params = [CouplingParams(t) for t in ts]
-    coupled = couple_grid(SINGLET_STANDARD, MIXED_ENV, params, IndistinguishabilityModel(p))
-    traces = []
-    for ps, h_branch in zip(coupled, measure_env_stack(coupled, "H")):
-        prob_h, prob_v = outcome_probabilities(ps)
-        trace = ProtocolTrace()
-        trace.record("input", SINGLET_STANDARD, 1.0)
-        trace.record("coupled", ps.rho, ps.success_prob)
-        # The correction is unitary and both branches have unit trace, so the
-        # kept mixture's weight is prob_h + prob_v.
-        trace.record("measured", h_branch.rho, prob_h + prob_v if feed_forward_enabled else prob_h)
-        traces.append(trace)
+    traces = couple_measure_chains([(t,) for t in ts], p)
+    for _, coupled, measured in (trace.steps for trace in traces):
+        coupled.name, measured.name = "coupled", "measured"
+        if feed_forward_enabled:
+            # Both branches have unit trace: the kept weight is P(H) + P(V).
+            measured.step_prob += outcome_probabilities(PostSelectedState(coupled.state, 1.0))[1]
     return traces
 
 

@@ -26,9 +26,9 @@ error, type and message, that its first bad state raises on its own.
 States are built from stacks too.  :func:`normalize_stack` is two steps:
 ``_quotients`` tests each of k unnormalized operators for zero measure, and
 ``_settle`` validates the k quotients with one :func:`_validate` call; each
-state keeps its slices of the quotient and of ``(w, V)``.  The cascade
-settles its N couplings' quotients as one stack.  :func:`normalize` is its
-k = 1 case, and the constructor sets up its one state the same way
+state keeps its slices of the quotient and of ``(w, V)``.  The coupling
+driver settles all of its coupled quotients as one stack.  :func:`normalize`
+is its k = 1 case, and the constructor sets up its one state the same way
 (``_settle``), so every state is validated exactly once.  A failing stack
 raises what a loop over its operators raises at the first bad one.
 :func:`ptrace_stack` builds the marginals of k states the same way, and
@@ -58,16 +58,17 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two square matrices."""
+    """Tensor product of two square matrices; a ``(k, d, d)`` first factor
+    gives the k products, each bitwise the one its matrix gives alone."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"kron: first factor not square, shape {a.shape}")
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionError(f"kron: second factor not square, shape {b.shape}")
     # The broadcast product np.kron builds, without its generic axis handling.
-    d = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d, d)
+    d = a.shape[-1] * b.shape[0]
+    return (a[..., :, None, :, None] * b[None, :, None, :]).reshape(*a.shape[:-2], d, d)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Shared test helpers: random states and unitaries, sigma_II, and the
 reference forms (kets, X-form test and concurrence, feed-forward
 correction, per-projector Born probabilities, the coupling-by-coupling
-cascade) that only the tests use."""
+front and cascade) that only the tests use."""
 
 import numpy as np
 
@@ -71,19 +71,24 @@ def concurrence_x_form(rho: DensityMatrix) -> float:
     return float(max(0.0, 2.0 * inner, 2.0 * outer))
 
 
+def stepwise_coupling(carrier: DensityMatrix, T: float, p: float):
+    """The reference for one stage of ``couple_measure_chains``: one
+    ``couple``, ``outcome_probabilities`` and ``measure_env`` call, each
+    state validated as it is built.  Returns the coupled state, its
+    (P(H), P(V)) and the measured H branch."""
+    coupled = couple(carrier, MIXED_ENV, CouplingParams(T), IndistinguishabilityModel(p))
+    return coupled, outcome_probabilities(coupled), measure_env(coupled, "H")
+
+
 def stepwise_cascade(params: CascadeParams, p: float) -> ProtocolTrace:
-    """The reference for ``simulate_cascade``: one ``couple``,
-    ``outcome_probabilities`` and ``measure_env`` call per coupling, each
-    state validated as it is built, then ``cascade_filter``."""
-    model = IndistinguishabilityModel(p)
+    """The reference for ``simulate_cascade``: one :func:`stepwise_coupling`
+    per coupling, then ``cascade_filter``."""
     trace = ProtocolTrace()
     state = SINGLET_STANDARD
     trace.record("input", state, 1.0)
     for i, t in enumerate(params.transmittivities):
-        coupled = couple(state, MIXED_ENV, CouplingParams(t), model)
+        coupled, (prob_h, _), measured = stepwise_coupling(state, t, p)
         trace.record(f"coupled_{i + 1}", coupled.rho, coupled.success_prob)
-        prob_h, _ = outcome_probabilities(coupled)
-        measured = measure_env(coupled, "H")
         trace.record(f"measured_{i + 1}", measured.rho, prob_h)
         state = measured.rho
     filtered = cascade_filter(state, params.eps)

@@ -17,8 +17,9 @@ from entconc.cascade import (
 )
 from entconc.errors import DegenerateCouplingError, EntconcError
 from entconc.metrics import concurrence
-from entconc.protocol import apply_filter, run_protocol
-from helpers import stepwise_cascade
+from entconc.protocol import apply_filter, couple_measure_grid, run_protocol
+from entconc.states import SINGLET_STANDARD
+from helpers import stepwise_cascade, stepwise_coupling
 
 SQ3 = 1.0 / np.sqrt(3)
 EDGE_TS = [0.0, 0.5, 1.0, float(SQ3), float(1 - SQ3), 5e-324, 1e-160, 1 - 1e-16]
@@ -209,11 +210,19 @@ class TestProtocolIsOneStageCascade:
                 simulate_cascade(CascadeParams((T,)), p)
             return
         cascade = {s.name: s for s in simulate_cascade(CascadeParams((T,)), p).steps}
-        for name in ("coupled", "measured"):
-            want, got = protocol[name], cascade[f"{name}_1"]
-            assert got.state.dims == want.state.dims
-            assert got.state.mat.tobytes() == want.state.mat.tobytes()
-            assert got.step_prob == want.step_prob
+        # Both are bitwise the per-T reference, not only each other.
+        coupled, (prob_h, _), measured = stepwise_coupling(SINGLET_STANDARD, T, p)
+        reference = {
+            "coupled": (coupled.rho, coupled.success_prob),
+            "measured": (measured.rho, prob_h),
+        }
+        for name, (state, prob) in reference.items():
+            for got in (protocol[name], cascade[f"{name}_1"]):
+                assert got.state.dims == state.dims
+                assert got.state.mat.tobytes() == state.mat.tobytes()
+                assert got.state.eig[0].tobytes() == state.eig[0].tobytes()
+                assert got.state.eig[1].tobytes() == state.eig[1].tobytes()
+                assert float(got.step_prob).hex() == float(prob).hex()
 
 
 def _run_bits(run, params, p):
@@ -270,6 +279,11 @@ class TestStackedDriver:
         simulate_cascade(CascadeParams((0.37,) * 24, eps=0.3), 0.85)
         assert [k for n, k in calls if n == 3] == [24]
         assert [k for n, k in calls if n == 2] == [1] * 25
+        # The one-coupling front of a 32-T grid: one 8x8 call for the 32
+        # coupled states and one 4x4 call for the 32 measured ones.
+        calls.clear()
+        couple_measure_grid(np.linspace(0.01, 0.99, 32).tolist(), 0.85)
+        assert sorted(calls) == [(2, 32), (3, 32)]
 
     @pytest.mark.parametrize(
         "ts, p, error",

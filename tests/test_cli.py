@@ -312,6 +312,15 @@ class TestCascadeCommand:
         assert code == 2
         assert "config error: t_list shorter than n_max" in err
 
+    def test_t_list_entries_past_n_max_checked(self, capsys):
+        # Every t_list entry is a transmittivity, not only the first n_max.
+        for t_list in ("0.3,0.4,5.0", "0.3,5.0,0.4"):
+            code, out, err = _run(
+                ["cascade", "--set", f"t_list={t_list}", "--set", "n_max=2"], capsys
+            )
+            assert code == 2 and out == ""
+            assert err == "config error: transmittivity 5.0 outside [0, 1]\n"
+
     def test_prefixes_match_own_simulation(self, tmp_path, capsys):
         # The command simulates to n_max once and reads every prefix from it;
         # each row must equal a separate simulation of that prefix.

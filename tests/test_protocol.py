@@ -21,7 +21,6 @@ from entconc.protocol import (
     epsilon_filter,
     filtration,
     measure_env,
-    measure_env_stack,
     outcome_probabilities,
     p3_closed_form,
     raw_attenuations,
@@ -31,8 +30,8 @@ from entconc.protocol import (
     sigma3_closed_form,
 )
 from entconc.qmath import DensityMatrix, kron, normalize, partial_trace, ptrace_stack
-from entconc.states import mixed_env, singlet_standard
-from helpers import KET_H, KET_V, feed_forward, is_x_form, random_psd, sigma2
+from entconc.states import SINGLET_STANDARD, mixed_env, singlet_standard
+from helpers import KET_H, KET_V, feed_forward, is_x_form, random_psd, sigma2, stepwise_coupling
 
 
 def _post_measurement(T, result="H"):
@@ -393,9 +392,21 @@ _T = st.sampled_from([0.0, 0.5, 1.0, _SQ3]) | st.floats(0.0, 1.0)
 _KEEPS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
 
+def _assert_reference_front(trace, T, p, feed):
+    """The coupled and measured steps of ``trace`` are bitwise the per-T
+    reference: one couple, outcome_probabilities and measure_env call."""
+    coupled, (prob_h, prob_v), measured = stepwise_coupling(SINGLET_STANDARD, T, p)
+    assert [s.name for s in trace.steps[:3]] == ["input", "coupled", "measured"]
+    _assert_same_state(trace.steps[1].state, coupled.rho)
+    assert float(trace.steps[1].step_prob).hex() == float(coupled.success_prob).hex()
+    _assert_same_state(trace.steps[2].state, measured.rho)
+    want = prob_h + prob_v if feed else prob_h
+    assert float(trace.steps[2].step_prob).hex() == float(want).hex()
+
+
 class TestStackedFront:
-    """The grid front, the stacked measurement and the stacked marginals are
-    bitwise the per-T run_protocol, measure_env and ptrace."""
+    """The grid front and the stacked marginals are bitwise the per-T
+    reference front and ptrace."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -404,25 +415,19 @@ class TestStackedFront:
         feed=st.booleans(),
     )
     @example(ts=[0.0, 0.5, 1.0, _SQ3], p=1.0, feed=False)
+    @example(ts=[0.0, 0.5, 1.0, _SQ3], p=1.0, feed=True)
     @example(ts=[0.0, 0.5, 1.0, _SQ3], p=0.85, feed=True)
+    @example(ts=[0.0, 0.5, 1.0, _SQ3], p=0.0, feed=False)
     @example(ts=[0.5, 0.0], p=0.0, feed=True)
     def test_grid_is_the_single_protocol(self, ts, p, feed):
         traces = couple_measure_grid(ts, p, feed)
         assert len(traces) == len(ts)
         for T, got in zip(ts, traces):
-            want = run_protocol(T, p=p, feed_forward_enabled=feed)
-            assert [s.name for s in got.steps] == ["input", "coupled", "measured"]
-            assert [s.name for s in want.steps] == ["input", "coupled", "measured"]
-            for g, w in zip(got.steps, want.steps):
-                assert g.step_prob == w.step_prob
-                _assert_same_state(g.state, w.state)
-        coupled = [PostSelectedState(tr.steps[1].state, tr.steps[1].step_prob) for tr in traces]
-        for result in ("H", "V"):
-            for g, c in zip(measure_env_stack(coupled, result), coupled):
-                w = measure_env(c, result)
-                assert g.success_prob == w.success_prob
-                _assert_same_state(g.rho, w.rho)
-        states = [c.rho for c in coupled]
+            assert len(got.steps) == 3
+            _assert_reference_front(got, T, p, feed)
+        single = run_protocol(ts[0], p=p, feed_forward_enabled=feed)
+        _assert_reference_front(single, ts[0], p, feed)
+        states = [tr.steps[1].state for tr in traces]
         for keep in _KEEPS:
             for g, rho in zip(ptrace_stack(states, keep), states):
                 want = DensityMatrix(partial_trace(rho.mat, (2, 2, 2), keep), g.dims)
@@ -431,7 +436,6 @@ class TestStackedFront:
 
     def test_empty_stacks(self):
         assert couple_measure_grid([]) == []
-        assert measure_env_stack([], "H") == []
         assert ptrace_stack([], (0,)) == []
 
 
@@ -457,30 +461,30 @@ class TestFailingStacks:
 
     @pytest.mark.parametrize("result", ["H", "V"])
     def test_measurement(self, result):
+        # A zero-measure block and a block that normalizes to a negative
+        # eigenvalue fail alone, each with its own error.
         rng = np.random.default_rng(7)
         good = _abe(random_psd(4, rng), np.eye(2) / 2)
         only_h = _abe(random_psd(4, rng), np.diag([1.0, 0.0]))
         only_v = _abe(random_psd(4, rng), np.diag([0.0, 1.0]))
         negative = DensityMatrix(_NEGATIVE_V_BLOCK, (2, 2, 2))
-        for stack in (
-            [good, only_h, negative],
-            [good, negative, only_h],
-            [only_v, good, negative],
-            [good, negative, only_v],
-        ):
-            states = [PostSelectedState(rho, 0.5) for rho in stack]
-            error = _first_error(lambda s: measure_env(s, result), states)
+        zero = (ZeroProbabilityError, "^normalize: zero-measure operator$")
+        psd = (NotPSDError, "^DensityMatrix: eigenvalue -")
+        cases = {
+            "H": [(good, None), (only_h, None), (only_v, zero), (negative, None)],
+            "V": [(good, None), (only_h, zero), (only_v, None), (negative, psd)],
+        }[result]
+        for rho, error in cases:
+            state = PostSelectedState(rho, 0.5)
             if error is None:
-                assert len(measure_env_stack(states, result)) == len(states)
+                assert measure_env(state, result).rho.dims == (2, 2)
                 continue
-            assert error[0] in (ZeroProbabilityError, NotPSDError)
-            with pytest.raises(error[0]) as info:
-                measure_env_stack(states, result)
-            assert str(info.value) == error[1]
+            with pytest.raises(error[0], match=error[1]):
+                measure_env(state, result)
 
     def test_measurement_rejects_two_qubit_state(self):
         with pytest.raises(DimensionError, match="measure_env: dims"):
-            measure_env_stack([PostSelectedState(singlet_standard(), 1.0)], "H")
+            measure_env(PostSelectedState(singlet_standard(), 1.0), "H")
 
     def test_marginals(self):
         good = _abe(random_psd(4, np.random.default_rng(8)), np.eye(2) / 2)

@@ -73,6 +73,12 @@ class TestKron:
             got = kron(a, b)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+            # A (k, n, n) first factor gives the k products, bit for bit.
+            stack = np.array([a, 2.0 * a, -a])
+            got = kron(stack, b)
+            assert got.shape == (3, n * m, n * m)
+            for product, factor in zip(got, stack):
+                assert product.tobytes() == kron(factor, b).tobytes()
 
     @pytest.mark.parametrize(
         "a, b",
@@ -80,6 +86,7 @@ class TestKron:
             (np.eye(2), np.ones((3, 2))),
             (np.ones(4), np.eye(2)),
             (np.eye(2), np.ones((2, 2, 2))),
+            (np.ones((3, 2, 3)), np.eye(2)),
         ],
     )
     def test_rejects_either_factor_non_square(self, a, b):
