@@ -21,10 +21,8 @@ loop raises first.  ``cascade`` runs one chain of the same driver and
 reads the closed forms of every depth from one pass of the recurrence
 (:func:`entconc.cascade.coefficient_prefixes`).
 
-List keys take comma-separated floats, and blank entries are skipped.  An
-empty grid (``t_grid``, ``overlap_grid``), an eps outside (0, 1] or any
-``t_list`` entry outside [0, 1] is a config error; an empty ``eps_list``
-means no filter columns.
+Each command's keys, with their parsers, defaults and domains, are rows of
+``_TABLE``, tabulated per command in the README; any other key is an error.
 
 Exit codes: 0 success, 2 config error, 3 numeric contract violation.
 """
@@ -35,6 +33,7 @@ import argparse
 import configparser
 import json
 import sys
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -87,38 +86,54 @@ def write_table(header: list[str], rows: list[list], out, fmt: str):
         out.write(json.dumps(payload, indent=2, default=_fmt) + "\n")
 
 
-def _floats(cfg: dict, key: str, default: str) -> list[float]:
-    """The comma-separated floats under ``key``; blank entries are skipped."""
-    return [float(x) for x in str(cfg.get(key, default)).split(",") if x.strip()]
+def _bool(raw: str) -> bool:
+    if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"{raw!r} is not one of 1/true/yes/0/false/no")
+    return raw.lower() in ("1", "true", "yes")
 
 
-def _grid(cfg: dict) -> np.ndarray:
-    if "t_grid" in cfg:
-        vals = _floats(cfg, "t_grid", "")
-    else:
-        t_min = float(cfg.get("t_min", 0.0))
-        t_max = float(cfg.get("t_max", 1.0))
-        steps = int(cfg.get("t_steps", 101))
-        if steps < 1:
-            raise ConfigError("t_steps must be positive")
-        vals = list(np.linspace(t_min, t_max, steps))
-    if not vals:
-        raise ConfigError("empty T grid")
-    for v in vals:
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"T={v} outside [0, 1]")
-    return np.array(vals)
+def _floats(raw: str) -> list[float]:
+    return [float(x) for x in raw.split(",") if x.strip()]
 
 
-def _eps(e: float) -> float:
-    """``e``, checked against (0, 1] before any filter or closed form uses it."""
-    if not 0.0 < e <= 1.0:
-        raise ConfigError(f"epsilon {e} outside (0, 1]")
-    return e
+_ANY = (lambda v: True, "")
+_T = (lambda v: 0.0 <= v <= 1.0, "T={} outside [0, 1]")
+_EPS = (lambda v: 0.0 < v <= 1.0, "epsilon {} outside (0, 1]")
+_TOMO_STATES = {
+    "singlet": lambda t, eps: singlet_standard(),
+    "sigma2": lambda t, eps: closed_form_state(coefficients(CascadeParams((t,)))),
+    "sigma3": sigma3_closed_form,
+}
 
-
-def _eps_list(cfg: dict) -> list[float]:
-    return [_eps(e) for e in _floats(cfg, "eps_list", "0.25,0.05")]
+# Each config key: the commands that read it, its name, parser, default and
+# domain (ok, bad[, empty]): a test of the value or of each list entry, the error
+# for one that fails and the error for an empty list.  The library checks the
+# rest: p, T, a_a and a_b in [0, 1] and shots >= 0.
+_TABLE = [
+    ("sweep-coupling protocol", "t_grid", _floats, None, (*_T, "empty T grid")),
+    ("sweep-coupling protocol", "t_min", float, 0.0, _T),
+    ("sweep-coupling protocol", "t_max", float, 1.0, _T),
+    ("sweep-coupling protocol", "t_steps", int, 101, (lambda n: n > 0, "t_steps must be positive")),
+    ("cascade", "n_max", int, 6, (lambda n: n > 0, "n_max must be >= 1")),
+    ("cascade", "t_list", _floats, None, (_T[0], "transmittivity {} outside [0, 1]")),
+    ("cascade", "t", float, 0.1, _ANY),
+    ("protocol cascade", "eps_list", _floats, (0.25, 0.05), _EPS),
+    ("sweep-coupling protocol cascade", "p", float, 1.0, _ANY),
+    ("protocol", "feed_forward", _bool, False, _ANY),
+    ("protocol", "dump_trace", _bool, False, _ANY),
+    ("protocol", "trace_out", str, "protocol_trace.json", _ANY),
+    ("protocol", "a_a", float, None, _ANY),
+    ("protocol", "a_b", float, None, _ANY),
+    ("hom", "overlap_grid", _floats, (0.0, 0.25, 0.5, 0.85, 1.0),
+     (_T[0], "overlap {} outside [0, 1]", "empty overlap grid")),
+    ("hom", "t", float, 0.5, _ANY),
+    ("tomo", "state", str, "sigma2", (_TOMO_STATES.__contains__, "unknown tomo state {!r}; "
+                                      f"choose from {sorted(_TOMO_STATES)}")),
+    ("tomo", "t", float, 0.4, _ANY),
+    ("tomo", "eps", float, 0.25, _EPS),
+    ("tomo", "shots", int, 0, _ANY),
+    ("tomo", "seed", int, 0, _ANY),
+]
 
 
 # T points per stack in sweep-coupling and protocol.  A stack's working set
@@ -133,35 +148,39 @@ def _eps_list(cfg: dict) -> list[float]:
 _GRID_CHUNK = 32
 
 
+def _chunks(cfg: dict) -> list[list[float]]:
+    ts = cfg["t_grid"]
+    if ts is None:
+        ts = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_steps"]).tolist()
+    return [ts[i : i + _GRID_CHUNK] for i in range(0, len(ts), _GRID_CHUNK)]
+
+
 def _zero_crossing(ts, values, atol=1e-9):
     """First T where the curve leaves (or enters) zero, to grid resolution."""
-    above = values > atol
-    for i in range(1, len(ts)):
-        if above[i] != above[i - 1]:
-            return float(ts[i])
-    return None
+    (changes,) = np.nonzero(np.diff(values > atol))
+    return float(ts[changes[0] + 1]) if len(changes) else None
 
 
 def cmd_sweep_coupling(cfg: dict, out, fmt: str) -> list[str]:
-    ts = _grid(cfg)
-    model = IndistinguishabilityModel(float(cfg.get("p", 1.0)))
+    model = IndistinguishabilityModel(cfg["p"])
     rows = []
-    for start in range(0, len(ts), _GRID_CHUNK):
-        params = [CouplingParams(t) for t in ts[start : start + _GRID_CHUNK].tolist()]
+    for chunk in _chunks(cfg):
+        params = [CouplingParams(t) for t in chunk]
         for c, ps in zip(params, couple_grid(SINGLET_STANDARD, MIXED_ENV, params, model)):
             rows.append([c.T, *pair_concurrences(ps.rho), ps.success_prob])
     write_table(["T", "C_AB", "C_AE", "C_BE", "P_success"], rows, out, fmt)
-    arr = np.array(rows)
+    t, c_ab, c_ae, c_be, _ = np.array(rows).T
     notes = []
-    x_ab = _zero_crossing(arr[:, 0], arr[:, 1])
-    x_ae = _zero_crossing(arr[:, 0], arr[:, 2])
+    x_ab = _zero_crossing(t, c_ab)
+    x_ae = _zero_crossing(t, c_ae)
     if x_ab is not None:
         notes.append(f"C_AB threshold near T={x_ab:.6g} (analytic 1/sqrt(3)={1 / np.sqrt(3):.6g})")
     if x_ae is not None:
         notes.append(
             f"C_AE threshold near T={x_ae:.6g} (analytic 1-1/sqrt(3)={1 - 1 / np.sqrt(3):.6g})"
         )
-    notes.append(f"C_BE maximal at T={arr[np.argmax(arr[:, 3]), 0]:.6g}")
+    be_note = f"C_BE maximal at T={t[c_be.argmax()]:.6g}" if c_be.any() else "C_BE is 0 at every T"
+    notes.append(be_note)
     return notes
 
 
@@ -175,35 +194,28 @@ def _fill_concurrences(rows: list[list]) -> list[list]:
 
 
 def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
-    ts = _grid(cfg)
-    eps_list = _eps_list(cfg)
-    p = float(cfg.get("p", 1.0))
-    feed = str(cfg.get("feed_forward", "false")).lower() in ("1", "true", "yes")
-    dump = str(cfg.get("dump_trace", "false")).lower() in ("1", "true", "yes")
-    a_a = cfg.get("a_a")
-    a_b = cfg.get("a_b")
+    eps_list, p, a_a, a_b = cfg["eps_list"], cfg["p"], cfg["a_a"], cfg["a_b"]
     if (a_a is None) != (a_b is None):
         raise ConfigError("a_a and a_b must be given together")
-    raw = None if a_a is None else raw_attenuations(float(a_a), float(a_b))
+    raw = None if a_a is None else raw_attenuations(a_a, a_b)
     header = ["T", "C_no_meas", "C_post_meas", "P_post_meas"]
     header += [f"C_eps_{e:g}" for e in eps_list]
     if raw is not None:
         header.append("C_raw_filter")
     rows = []
     traces = []
-    for start in range(0, len(ts), _GRID_CHUNK):
+    for chunk in _chunks(cfg):
         # Couple, measure, trace out E and filter once per chunk; each filter
         # column branches from the measured stack, every eps column from one
         # rebalanced stack.
-        chunk = ts[start : start + _GRID_CHUNK].tolist()
-        front = couple_measure_grid(chunk, p, feed)
+        front = couple_measure_grid(chunk, p, cfg["feed_forward"])
         no_meas = ptrace_stack([tr.steps[1].state for tr in front], (0, 1))
         measured = [tr.final_state for tr in front]
         filtered = filtration(measured, chunk, eps_list=eps_list, raw_filters=raw)
         for t, tr, marginal, steps in zip(chunk, front, no_meas, filtered):
             cells = [s.state for s in steps if s.name != "rebalanced"]
             rows.append([t, marginal, tr.final_state, tr.cumulative_prob, *cells])
-            if dump:
+            if cfg["dump_trace"]:
                 traces.append(
                     {
                         "T": t,
@@ -221,36 +233,27 @@ def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
     if p < 1.0:
         notes.append("reference (experiment, not simulated): " + json.dumps(REFERENCE_EXPERIMENT))
     if traces:
-        path = cfg.get("trace_out", "protocol_trace.json")
-        with open(path, "w") as fh:
+        with open(cfg["trace_out"], "w") as fh:
             json.dump(traces, fh, indent=2)
-        notes.append(f"trace dump written to {path}")
+        notes.append(f"trace dump written to {cfg['trace_out']}")
     return notes
 
 
 def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
-    n_max = int(cfg.get("n_max", 6))
-    if n_max < 1:
-        raise ConfigError("n_max must be >= 1")
-    if "t_list" in cfg:
-        t_all = _floats(cfg, "t_list", "")
-        if len(t_all) < n_max:
-            raise ConfigError("t_list shorter than n_max")
-    else:
-        t_all = [float(cfg.get("t", 0.1))] * n_max
-    eps_list = _eps_list(cfg)
-    p = float(cfg.get("p", 1.0))
+    n_max, t_all, eps_list = cfg["n_max"], cfg["t_list"], cfg["eps_list"]
+    if t_all is None:
+        t_all = [cfg["t"]] * n_max
+    elif len(t_all) < n_max:
+        raise ConfigError("t_list shorter than n_max")
     header = ["N", "C_closed", "C_sim", "P_N"]
     for e in eps_list:
         header += [f"C_filt_eps_{e:g}", f"P_III_eps_{e:g}"]
-    # Every t_list entry must be a transmittivity, not only the first n_max.
-    CascadeParams(tuple(t_all))
     # Simulate to n_max once and read each prefix from its measured_N step;
     # A_N only shrinks with N, so the one filtration fails iff a prefix's would.
     # Only C_sim sees p: C_closed, P_N and the C_filt_eps_*/P_III_eps_* columns
     # are the p = 1 closed forms of the cascade module, whatever p is.
     params = CascadeParams(tuple(t_all[:n_max]), eps=1.0)
-    steps = simulate_cascade(params, p=p).steps
+    steps = simulate_cascade(params, p=cfg["p"]).steps
     measured = {s.name: s.state for s in steps}
     rows = []
     for n, co in enumerate(coefficient_prefixes(params), start=1):
@@ -263,18 +266,14 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
 
 
 def cmd_hom(cfg: dict, out, fmt: str) -> list[str]:
-    overlaps = _floats(cfg, "overlap_grid", "0,0.25,0.5,0.85,1")
-    if not overlaps:
-        raise ConfigError("empty overlap grid")
-    t = float(cfg.get("t", 0.5))
+    t = cfg["t"]
+    c_id, c_dist = hom_coincidence(t, 1.0), hom_coincidence(t, 0.0)
+    # Below a relative depth of 1e-12 the dip is roundoff, which would already
+    # leave p_recovered uncertain in its 4th digit.
+    if c_dist - c_id <= 1e-12 * c_dist:
+        raise ZeroProbabilityError("hom: dip has no contrast at this T")
     rows = []
-    for ov in overlaps:
-        if not 0.0 <= ov <= 1.0:
-            raise ConfigError(f"overlap {ov} outside [0, 1]")
-        # Per overlap, so a bad first overlap is reported before a bad T.
-        c_id, c_dist = hom_coincidence(t, 1.0), hom_coincidence(t, 0.0)
-        if c_dist <= c_id:
-            raise ZeroProbabilityError("hom: dip has no contrast at this T")
+    for ov in cfg["overlap_grid"]:
         dip = hom_coincidence(t, ov)
         visibility = (c_dist - dip) / c_dist
         rows.append([ov, dip, visibility, visibility * c_dist / (c_dist - c_id)])
@@ -285,24 +284,9 @@ def cmd_hom(cfg: dict, out, fmt: str) -> list[str]:
     ]
 
 
-_TOMO_STATES = {
-    "singlet": lambda cfg: singlet_standard(),
-    "sigma2": lambda cfg: closed_form_state(
-        coefficients(CascadeParams((float(cfg.get("t", 0.4)),)))
-    ),
-    "sigma3": lambda cfg: sigma3_closed_form(
-        float(cfg.get("t", 0.4)), _eps(float(cfg.get("eps", 0.25)))
-    ),
-}
-
-
 def cmd_tomo(cfg: dict, out, fmt: str) -> list[str]:
-    name = str(cfg.get("state", "sigma2"))
-    if name not in _TOMO_STATES:
-        raise ConfigError(f"unknown tomo state {name!r}; choose from {sorted(_TOMO_STATES)}")
-    rho = _TOMO_STATES[name](cfg)
-    shots = int(cfg.get("shots", 0))
-    seed = int(cfg.get("seed", 0))
+    name, shots, seed = cfg["state"], cfg["shots"], cfg["seed"]
+    rho = _TOMO_STATES[name](cfg["t"], cfg["eps"])
     rec = reconstruct(simulate_counts(rho, shots, np.random.default_rng(seed)), shots)
     rows = [[name, shots, seed, fidelity(rec, rho)]]
     write_table(["state", "shots", "seed", "fidelity"], rows, out, fmt)
@@ -316,18 +300,43 @@ COMMANDS = {
     "hom": cmd_hom,
     "tomo": cmd_tomo,
 }
+KEYS = {c: {name: key for cs, name, *key in _TABLE if c in cs.split()} for c in COMMANDS}
 
 
-def load_config(path: str | None, section: str) -> dict:
-    if path is None:
-        return {}
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found")
-    if section not in parser:
-        return {}
-    return dict(parser[section])
+def read_config(
+    command: str, path: str | None = None, sets: Sequence[str] = (), seed: int | None = None
+) -> dict[str, Any]:
+    """``command``'s keys at their defaults, overridden by the INI file at ``path``
+    (``[DEFAULT]`` included), ``sets`` (``KEY=VALUE``) and ``seed``, each parsed and
+    checked in that order.  A key outside ``KEYS[command]`` is a config error."""
+    raw = {}
+    if path is not None:
+        parser = configparser.ConfigParser()
+        if not parser.read(path):
+            raise ConfigError(f"config file {path!r} not found")
+        raw = dict(parser[command]) if parser.has_section(command) else {}
+    for key, sep, value in (item.partition("=") for item in sets):
+        if not sep:
+            raise ConfigError(f"--set needs KEY=VALUE, got {key!r}")
+        raw[key.strip()] = value.strip()
+    keys = KEYS[command]
+    if seed is not None and "seed" in keys:
+        raw["seed"] = str(seed)
+    cfg = {name: default for name, (_, default, _) in keys.items()}
+    for name, text in raw.items():
+        if name not in keys:
+            raise ConfigError(f"unknown {command} key {name!r}; choose from {sorted(keys)}")
+        parse, _, (ok, bad, *empty) = keys[name]
+        try:
+            value = cfg[name] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+        if value == [] and empty:
+            raise ConfigError(*empty)
+        for v in value if isinstance(value, list) else [value]:
+            if not ok(v):
+                raise ConfigError(bad.format(v))
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,14 +362,7 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.command)
-        for item in args.set:
-            if "=" not in item:
-                raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
-            key, value = item.split("=", 1)
-            cfg[key.strip()] = value.strip()
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = read_config(args.command, args.config, args.set, args.seed)
         if args.out is None:
             notes = COMMANDS[args.command](cfg, sys.stdout, args.format)
         else:
@@ -369,13 +371,10 @@ def main(argv: list[str] | None = None) -> int:
         for note in notes:
             print(note)
         return 0
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (InvariantViolation,) as exc:
+    except InvariantViolation as exc:
         print(f"numeric contract violation: {exc}", file=sys.stderr)
         return 3
-    except EntconcError as exc:
+    except (EntconcError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from entconc.cascade import (
     filtered_success_prob,
     simulate_cascade,
 )
-from entconc.cli import _GRID_CHUNK, cmd_protocol, main
+from entconc.cli import _GRID_CHUNK, _TABLE, KEYS, cmd_protocol, main, read_config
 from entconc.metrics import concurrence
 from entconc.protocol import (
     c3_closed_form,
@@ -202,10 +202,9 @@ class TestProtocolCommand:
         # At T = 1/2 the balancing filter removes Alice's H, so the cell is
         # +0.0 at every p; near it the cell is the closed form at its double.
         near = 0.5 + offset
-        cfg = {"t_grid": f"0.5,{near!r}", "p": repr(p), "feed_forward": str(feed),
-               "eps_list": repr(eps)}
+        sets = [f"t_grid=0.5,{near!r}", f"p={p!r}", f"feed_forward={feed}", f"eps_list={eps!r}"]
         buf = io.StringIO()
-        cmd_protocol(cfg, buf, "json")
+        cmd_protocol(read_config("protocol", sets=sets), buf, "json")
         half, near_row = json.loads(buf.getvalue())
         cell = half[f"C_eps_{eps:g}"]
         assert cell == 0.0 and not np.signbit(cell)
@@ -400,14 +399,18 @@ class TestHomCommand:
             (["overlap_grid=0.5,-0.1"], "overlap -0.1 outside [0, 1]"),
             (["t=1.5"], "transmittivity 1.5 outside [0, 1]"),
             (["t=-0.1"], "transmittivity -0.1 outside [0, 1]"),
-            # The first bad overlap wins, before a bad T or a later overlap.
+            # The key table checks every overlap before the library checks T:
+            # the first bad overlap wins, before a bad T or a later overlap.
             (["overlap_grid=0.5,-0.1,2.0"], "overlap -0.1 outside [0, 1]"),
             (["t=1.5", "overlap_grid=2.0,0.5"], "overlap 2.0 outside [0, 1]"),
-            (["t=1.5", "overlap_grid=0.5,2.0"], "transmittivity 1.5 outside [0, 1]"),
+            (["t=1.5", "overlap_grid=0.5,2.0"], "overlap 2.0 outside [0, 1]"),
             # At T = 0 or 1 the photons never meet: there is no dip to read.
             (["t=0"], "hom: dip has no contrast at this T"),
             (["t=1"], "hom: dip has no contrast at this T"),
-            (["t=1", "overlap_grid=0.5,2.0"], "hom: dip has no contrast at this T"),
+            (["t=1", "overlap_grid=0.5,2.0"], "overlap 2.0 outside [0, 1]"),
+            # One double from T = 1 or 0, the dip's depth 2T(1 - T) is roundoff.
+            (["t=0.9999999999999999"], "hom: dip has no contrast at this T"),
+            (["t=1e-16"], "hom: dip has no contrast at this T"),
         ],
     )
     def test_bad_input_exits_2(self, settings, message, capsys):
@@ -623,3 +626,109 @@ class TestProtocolStacks:
         assert len(sizes) == (3 + per_chunk) * chunks
         assert sum(sizes) == (3 + per_chunk) * steps
 
+
+
+# A value inside its domain for every key of every command's table.
+_GOOD = {
+    "t_grid": "0.3,0.6", "t_min": "0.2", "t_max": "0.8", "t_steps": "3", "p": "0.85",
+    "eps_list": "0.25", "feed_forward": "yes", "dump_trace": "0", "trace_out": "trace.json",
+    "a_a": "0.12", "a_b": "0.3", "n_max": "2", "t_list": "0.3,0.4", "t": "0.4",
+    "overlap_grid": "0,0.5", "state": "sigma3", "eps": "0.5", "shots": "100", "seed": "3",
+}
+
+
+class TestKeyTable:
+    """Each command reads the keys of its table and rejects any other."""
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_every_key_is_accepted(self, command, capsys):
+        argv = [command]
+        for key in KEYS[command]:
+            argv += ["--set", f"{key}={_GOOD[key]}"]
+        code, out, err = _run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out
+
+    def test_every_row_names_a_command(self):
+        # A row whose command is misspelled would give no command its key.
+        assert sum(map(len, KEYS.values())) == sum(len(cs.split()) for cs, *_ in _TABLE)
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_readme_lists_every_key(self, command):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        heading = f"#### `entconc {command}` keys\n"
+        assert heading in readme
+        section = readme.split(heading, 1)[1].split("\n#", 1)[0]
+        for key in KEYS[command]:
+            assert f"| `{key}` |" in section
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("cascade", "nmax"), ("protocol", "feed_fwd"), ("tomo", "sate"), ("hom", "seed")],
+    )
+    @pytest.mark.parametrize("source", ["set", "section", "default"])
+    def test_unknown_key_exits_2(self, command, key, source, tmp_path, capsys):
+        argv = [command, "--out", str(tmp_path / "out.csv")]
+        if source == "set":
+            argv += ["--set", f"{key}=2"]
+        else:
+            ini = tmp_path / "run.ini"
+            if source == "default":
+                ini.write_text(f"[DEFAULT]\n{key} = 2\n[{command}]\n")
+            else:
+                ini.write_text(f"[{command}]\n{key} = 2\n")
+            argv += ["--config", str(ini)]
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"config error: unknown {command} key {key!r}; choose from {sorted(KEYS[command])}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [("1", True), ("true", True), ("yes", True), ("TRUE", True), ("Yes", True),
+         ("0", False), ("false", False), ("no", False), ("FALSE", False), ("No", False)],
+    )
+    def test_strict_bool_accepts(self, value, want):
+        assert read_config("protocol", sets=[f"feed_forward={value}"])["feed_forward"] is want
+
+    @pytest.mark.parametrize("value", ["ture", "", "on", "off", "2", "y", "t", "nope"])
+    def test_strict_bool_rejects(self, value, capsys):
+        code, out, err = _run(["protocol", "--set", "t_grid=0.4", "--set", f"feed_forward={value}"],
+                              capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"config error: feed_forward: {value!r} is not one of 1/true/yes/0/false/no\n"
+        )
+
+    def test_malformed_value_of_an_unread_key_exits_2(self, capsys):
+        # t_steps does not shape the grid when t_grid is given, but it is
+        # still parsed and checked.
+        code, out, err = _run(["protocol", "--set", "t_grid=0.4", "--set", "t_steps=abc"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "config error: t_steps: invalid literal for int() with base 10: 'abc'\n"
+
+    def test_seed_flag_accepted_by_every_command(self, capsys):
+        # --seed is a global flag; only tomo reads it.
+        code, out, err = _run(["protocol", "--seed", "3", "--set", "t_grid=0.4"], capsys)
+        assert (code, err) == (0, "")
+        assert _run(["protocol", "--set", "t_grid=0.4"], capsys) == (code, out, err)
+        assert read_config("tomo", seed=3)["seed"] == 3
+        assert "seed" not in read_config("protocol", seed=3)
+
+    def test_command_reads_its_section_with_defaults_merged(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[DEFAULT]\np = 0.85\n[protocol]\nt_grid = 0.4\n[hom]\n")
+        cfg = read_config("protocol", str(ini), ["eps_list=0.25"])
+        assert (cfg["p"], cfg["t_grid"], cfg["eps_list"]) == (0.85, [0.4], [0.25])
+        assert _run(["hom", "--config", str(ini)], capsys)[2] == (
+            f"config error: unknown hom key 'p'; choose from {sorted(KEYS['hom'])}\n"
+        )
+
+
+def test_zero_c_be_column_is_named(capsys):
+    # At p <= 1/2 no pair B-E is entangled: there is no maximum to name.
+    code, out, _ = _run(["sweep-coupling", "--set", "p=0.5", "--set", "t_steps=11",
+                         "--out", os.devnull], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "C_BE is 0 at every T"

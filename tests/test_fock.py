@@ -6,7 +6,7 @@ import pytest
 
 from entconc import fock
 from entconc.channel import CouplingParams, couple, hom_coincidence
-from entconc.cli import cmd_hom
+from entconc.cli import cmd_hom, read_config
 from entconc.states import mixed_env, singlet_standard
 
 
@@ -118,7 +118,8 @@ class TestPostselection:
 def _hom_rows(T, overlaps):
     """The rows ``entconc hom`` prints for this T and overlap grid."""
     out = io.StringIO()
-    cmd_hom({"t": repr(T), "overlap_grid": ",".join(map(repr, overlaps))}, out, "json")
+    sets = [f"t={T!r}", "overlap_grid=" + ",".join(map(repr, overlaps))]
+    cmd_hom(read_config("hom", sets=sets), out, "json")
     return json.loads(out.getvalue())
 
 
