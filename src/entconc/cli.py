@@ -24,7 +24,7 @@ reads the closed forms of every depth from one pass of the recurrence
 Each command's keys, with their parsers, defaults and domains, are rows of
 ``_TABLE``, tabulated per command in the README; any other key is an error.
 
-Exit codes: 0 success, 2 config error, 3 numeric contract violation.
+Exit codes: 0 success, 2 config or output error, 3 numeric contract violation.
 """
 
 from __future__ import annotations
@@ -228,7 +228,6 @@ def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
                         ],
                     }
                 )
-    write_table(header, _fill_concurrences(rows), out, fmt)
     notes = []
     if p < 1.0:
         notes.append("reference (experiment, not simulated): " + json.dumps(REFERENCE_EXPERIMENT))
@@ -236,6 +235,7 @@ def cmd_protocol(cfg: dict, out, fmt: str) -> list[str]:
         with open(cfg["trace_out"], "w") as fh:
             json.dump(traces, fh, indent=2)
         notes.append(f"trace dump written to {cfg['trace_out']}")
+    write_table(header, _fill_concurrences(rows), out, fmt)
     return notes
 
 
@@ -312,9 +312,12 @@ def read_config(
     raw = {}
     if path is not None:
         parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise ConfigError(f"config file {path!r} not found")
-        raw = dict(parser[command]) if parser.has_section(command) else {}
+        try:
+            if not parser.read(path):
+                raise ConfigError(f"config file {path!r} not found")
+            raw = dict(parser[command]) if parser.has_section(command) else {}
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path!r}: {exc}") from None
     for key, sep, value in (item.partition("=") for item in sets):
         if not sep:
             raise ConfigError(f"--set needs KEY=VALUE, got {key!r}")
@@ -376,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (EntconcError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

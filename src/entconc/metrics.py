@@ -1,10 +1,10 @@
 """Entanglement and distance measures: concurrence, fidelity, purity.
 
-Batch rule: concurrence is one kernel, :func:`_wootters`, over a stack of
-two-qubit states.  A caller that needs many concurrences (a whole CLI
-table) collects its states and makes one :func:`concurrences` call;
-:func:`concurrence` is its k = 1 case.  Each report is bitwise the one the
-state gets on its own.
+Batch rule: a caller that needs many concurrences (a whole CLI table) makes
+one :func:`concurrences` call; :func:`concurrence` is its k = 1 case.  An
+X-form state (zero off the diagonal and anti-diagonal, as every state the CLI
+prints) gets the closed form :func:`_x_form`, any other :func:`_wootters`.
+Each report is bitwise the one the state gets on its own.
 """
 
 from __future__ import annotations
@@ -36,6 +36,21 @@ _PAIR_INDEX = np.stack(
     [np.arange(64).reshape((2,) * 6).diagonal(axis1=q, axis2=q + 3) for q in (2, 1, 0)]
 ).reshape(3, 4, 4, 2)
 
+# Flat 4x4 indices of rho_11, rho_44, rho_22, rho_33, rho_23, rho_14, then the off-X entries.
+_X_INDEX = np.array([0, 15, 5, 10, 6, 3, 1, 2, 4, 7, 8, 11, 13, 14])
+
+
+def _x_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Yu & Eberly's closed form (QIC 7, 459 (2007)) over a ``(k, 4, 4)`` stack: the
+    X-form mask; C = 2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33))
+    in [0, 1], exact where Wootters' lambdas cancel; and the roots and moduli, from
+    which the lambdas are root +- the other modulus.  All elementwise."""
+    g = m.reshape(-1, 16)[:, _X_INDEX]
+    d = np.maximum(g[:, :4].real, 0.0)
+    roots, mods = np.sqrt(d[:, ::2] * d[:, 1::2]), np.abs(g[:, 4:6])
+    values = np.minimum(2.0 * np.maximum(mods - roots, 0.0).max(1), 1.0)
+    return (g[:, 6:] == 0).all(1), values, roots, mods
+
 
 def _wootters(w: np.ndarray, v: np.ndarray) -> list[ConcurrenceReport]:
     """Wootters concurrence of each state in a stack of two-qubit states,
@@ -59,19 +74,25 @@ def _wootters(w: np.ndarray, v: np.ndarray) -> list[ConcurrenceReport]:
 
 
 def concurrences(states: Sequence[DensityMatrix]) -> list[ConcurrenceReport]:
-    """Wootters concurrence of each two-qubit state, as one :func:`_wootters`
-    batch over the states' kept decompositions."""
+    """Concurrence of each two-qubit state: one :func:`_x_form` pass over the
+    stack, and one :func:`_wootters` batch over the states not X-form."""
     for rho in states:
         if rho.dims != (2, 2):
             raise DimensionError(f"concurrence: need two qubits, got dims {rho.dims}")
     if not states:
         return []
-    w, v = zip(*(rho.eig for rho in states))
-    return _wootters(np.stack(w), np.stack(v))
+    x_form, values, roots, mods = _x_form(np.stack([rho.mat for rho in states]))
+    lams = np.sort(np.concatenate([roots + mods[:, ::-1], roots - mods[:, ::-1]], 1))[:, ::-1]
+    reports = list(map(ConcurrenceReport, values.tolist(), map(tuple, lams.tolist())))
+    if x_form.all():
+        return reports
+    w, v = (np.stack(a)[~x_form] for a in zip(*(rho.eig for rho in states)))
+    rest = iter(_wootters(w, v))
+    return [r if x else next(rest) for r, x in zip(reports, x_form.tolist())]
 
 
 def concurrence(rho: DensityMatrix) -> ConcurrenceReport:
-    """Wootters concurrence of a two-qubit state: :func:`concurrences` with k = 1."""
+    """Concurrence of a two-qubit state: :func:`concurrences` with k = 1."""
     return concurrences([rho])[0]
 
 
@@ -79,15 +100,18 @@ def pair_concurrences(rho: DensityMatrix) -> tuple[float, float, float]:
     """Concurrences (C_01, C_02, C_12) of the three pair marginals of a
     three-qubit state.
 
-    The marginals are traced from the 8x8 matrix in one gather, validated as
-    one stack and passed through :func:`_wootters` as one batch; each value
-    is bitwise the one ``concurrence(rho.ptrace(keep)).value`` gives.
+    The marginals are traced from the 8x8 matrix in one gather and validated
+    as one stack; their values come from :func:`_x_form` (:func:`_wootters`
+    for any not X-form), each bitwise ``concurrence(rho.ptrace(keep)).value``.
     """
     if rho.dims != (2, 2, 2):
         raise DimensionError(f"pair_concurrences: need three qubits, got dims {rho.dims}")
     marginals = rho.mat.ravel()[_PAIR_INDEX].sum(-1)
-    c01, c02, c12 = _wootters(*_validate(marginals, (2, 2)))
-    return c01.value, c02.value, c12.value
+    w, v = _validate(marginals, (2, 2))
+    x_form, values, _, _ = _x_form(marginals)
+    if not x_form.all():
+        values[~x_form] = [r.value for r in _wootters(w[~x_form], v[~x_form])]
+    return tuple(values.tolist())
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -1,7 +1,10 @@
 """Shared test helpers: random states and unitaries, sigma_II, and the
 reference forms (kets, X-form test and concurrence, feed-forward
 correction, per-projector Born probabilities, the coupling-by-coupling
-front and cascade) that only the tests use."""
+front and cascade, the exact cascade concurrences and the sweep's closed
+forms) that only the tests use."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,3 +97,57 @@ def stepwise_cascade(params: CascadeParams, p: float) -> ProtocolTrace:
     filtered = cascade_filter(state, params.eps)
     trace.record("filtered", filtered.rho, filtered.success_prob)
     return trace
+
+
+def exact_chain_concurrences(ts, p) -> list[Fraction]:
+    """The exact concurrence of the measured state after each coupling of a
+    chain, from the four-number recursion in ``fractions.Fraction`` on the
+    exact values of the float T's and p.
+
+    Every measured state is X-form with HH = 0: populations A (HV), B (VH),
+    C (VV) and the HV-VH coherence X.  One coupling with the H measurement
+    of I/2 maps them (unnormalized, from A = B = 1/2, C = 0, X = -1/2) as
+
+        A' = T^2 A,  B' = (T^2 + R^2 - 2pTR) B,  C' = T^2 C + R^2 B,
+        X' = T (T - pR) X,
+
+    and the concurrence is 2 |X| / (A + B + C).
+    """
+    p = Fraction(p)
+    a, b, c, x = Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(-1, 2)
+    out = []
+    for t in map(Fraction, ts):
+        r = 1 - t
+        a, b, c, x = (
+            t * t * a,
+            (t * t + r * r - 2 * p * t * r) * b,
+            t * t * c + r * r * b,
+            t * (t - p * r) * x,
+        )
+        s = a + b + c
+        # Normalizing keeps the denominators from growing with every step.
+        a, b, c, x = a / s, b / s, c / s, x / s
+        out.append(2 * abs(x))
+    return out
+
+
+def sweep_closed_forms(T: float, p: float) -> tuple[float, float, float, float]:
+    """(C_AB, C_AE, C_BE, P_success) of one coupling of the standard singlet
+    with I/2 at indistinguishability p: the three X-form pair marginals of
+    the post-selected (A, B, E) state.  With R = 1 - T, the HOM coincidence
+    h = p (T - R)^2 + (1 - p)(T^2 + R^2) and the success probability
+    P = p (T^2 + R^2 + (T - R)^2) / 2 + (1 - p)(T^2 + R^2):
+
+        C_AB = max(0, |T (T - pR)| - R^2 / 2) / P
+        C_AE = max(0, |R (R - pT)| - T^2 / 2) / P
+        C_BE = max(0, pTR - h / 2) / P
+    """
+    R = 1.0 - T
+    h = p * (T - R) ** 2 + (1 - p) * (T * T + R * R)
+    P = p * (T * T + R * R + (T - R) ** 2) / 2 + (1 - p) * (T * T + R * R)
+    return (
+        max(0.0, abs(T * (T - p * R)) - R * R / 2) / P,
+        max(0.0, abs(R * (R - p * T)) - T * T / 2) / P,
+        max(0.0, p * T * R - h / 2) / P,
+        P,
+    )

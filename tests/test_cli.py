@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entconc
@@ -31,6 +31,7 @@ from entconc.protocol import (
     run_protocol,
     sigma3_closed_form,
 )
+from helpers import exact_chain_concurrences, sweep_closed_forms
 
 
 def _run(argv, capsys):
@@ -87,6 +88,27 @@ class TestSweepCoupling:
                 tracemalloc.stop()
         assert code == 0
         assert peak - base < 2_000_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ts=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=4),
+        p=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    )
+    @example(ts=[0.0, 0.5, 1.0], p=0.0)
+    @example(ts=[0.0, 0.5, 1.0], p=0.5)
+    @example(ts=[0.0, 0.5, 1.0], p=1.0)
+    def test_columns_are_the_closed_forms(self, ts, p, tmp_path_factory):
+        # Every column at every (T, p), against the pair marginals' closed forms.
+        out = tmp_path_factory.mktemp("sweep") / "sweep.json"
+        argv = ["sweep-coupling", "--format", "json", "--out", str(out),
+                "--set", "t_grid=" + ",".join(map(repr, ts)), "--set", f"p={p!r}"]
+        assert main(argv) == 0
+        rows = json.loads(out.read_text())
+        assert [r["T"] for r in rows] == ts
+        for row in rows:
+            want = sweep_closed_forms(row["T"], p)
+            got = [row[k] for k in ("C_AB", "C_AE", "C_BE", "P_success")]
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12, (row["T"], p, got, want)
 
 
 class TestProtocolCommand:
@@ -340,6 +362,21 @@ class TestCascadeCommand:
             tr = simulate_cascade(CascadeParams(tuple(ts[:n]), eps=1.0), p=p)
             assert row["C_sim"] == pytest.approx(concurrence(tr.steps[-2].state).value, abs=1e-12)
 
+    @pytest.mark.parametrize("t, p", [(0.4, 0.85), (0.45, 0.5)])
+    def test_c_sim_is_exact_at_every_depth(self, t, p, tmp_path, capsys):
+        # At p < 1 the measured coherence is far below the populations, where
+        # Wootters' lambda differences cancel; C_sim keeps its relative digits.
+        out = tmp_path / "casc.json"
+        argv = ["cascade", "--format", "json", "--out", str(out),
+                "--set", f"t={t}", "--set", "n_max=40", "--set", f"p={p}"]
+        assert _run(argv, capsys)[0] == 0
+        rows = json.loads(out.read_text())
+        exact = exact_chain_concurrences([t] * 40, p)
+        assert len(rows) == len(exact) == 40
+        for row, want in zip(rows, map(float, exact)):
+            if want >= sys.float_info.min:
+                assert abs(row["C_sim"] - want) <= 1e-12 * want, (row["N"], row["C_sim"], want)
+
     def test_filter_columns_are_p1_closed_forms(self, tmp_path, capsys):
         # Only C_sim sees p: the filter columns stay the p = 1 closed forms.
         t, eps, p = 0.4, (0.25, 0.05), 0.85
@@ -541,6 +578,37 @@ class TestInterface:
         code, _, err = _run(["sweep-coupling", "--config", "/nonexistent.ini"], capsys)
         assert code == 2
         assert "not found" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[protocol]\nt_grid = 0.4\n[protocol]\np = 0.85\n",
+             "section 'protocol' already exists"),
+            ("t_grid = 0.4\n[protocol]\n", "File contains no section headers."),
+            ("[protocol]\nt_grid = 0.4\nt_grid = 0.5\n", "option 't_grid' in section 'protocol'"),
+            ("[protocol]\nt_grid = %(nowhere)s\n", "Bad value substitution"),
+        ],
+    )
+    def test_malformed_config_file_exits_2(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        code, out, err = _run(["protocol", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: config file {str(cfg)!r}: ")
+        assert message in err
+
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_unwritable_output_exits_2(self, dump, tmp_path, capsys):
+        missing = tmp_path / "missing" / ("t.json" if dump else "o.csv")
+        argv = ["protocol", "--set", "t_grid=0.4"]
+        if dump:
+            argv += ["--set", "dump_trace=1", "--set", f"trace_out={missing}"]
+        else:
+            argv += ["--out", str(missing)]
+        code, out, err = _run(argv, capsys)
+        # The trace is written before the table, so no table reaches stdout.
+        assert code == 2 and out == ""
+        assert err == f"output error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
     def test_bad_set_syntax(self, capsys):
         code, _, err = _run(["sweep-coupling", "--set", "oops"], capsys)

@@ -556,13 +556,29 @@ class TestKeptDecomposition:
             assert np.array_equal(psd_sqrt(rho), psd_sqrt((w, v)))
 
     def test_concurrence_bitwise_equal(self):
+        # An X-form state gets the closed form, bit for bit; any other state
+        # the Wootters route over a fresh decomposition.
+        kinds = set()
         for rho in _states(np.random.default_rng(8)):
-            root = psd_sqrt(_fresh_eig(rho.mat))
-            lam = np.sort(np.linalg.svd(root @ _YY @ root.T, compute_uv=False))[::-1]
-            value = min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0)
+            m = rho.mat
+            x_form = not np.any(m[~np.eye(4, dtype=bool) & ~np.eye(4, dtype=bool)[::-1]])
+            if x_form:
+                d = [max(float(m[i, i].real), 0.0) for i in range(4)]
+                roots = (np.sqrt(d[0] * d[3]), np.sqrt(d[1] * d[2]))
+                mods = (abs(m[1, 2]), abs(m[0, 3]))
+                diff = max(mods[0] - roots[0], mods[1] - roots[1], 0.0)
+                value = min(2.0 * diff, 1.0)
+                lam = sorted([roots[0] + mods[1], roots[1] + mods[0],
+                              roots[0] - mods[1], roots[1] - mods[0]], reverse=True)
+            else:
+                root = psd_sqrt(_fresh_eig(m))
+                lam = np.sort(np.linalg.svd(root @ _YY @ root.T, compute_uv=False))[::-1]
+                value = min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0)
+            kinds.add(x_form)
             got = concurrence(rho)
             assert got.value == float(value)
             assert got.lambdas == tuple(float(x) for x in lam)
+        assert kinds == {True, False}
 
     def test_reversal_is_the_old_argsort_order(self):
         # Descending order is eigh's output reversed; on the degenerate
@@ -694,6 +710,8 @@ class TestStackValidation:
 def _three_qubit_states():
     rng = np.random.default_rng(14)
     out = [DensityMatrix(random_psd(8, rng), (2, 2, 2)) for _ in range(30)]
+    # An X-form (0, 1) marginal beside two that are not.
+    out += [DensityMatrix(kron(singlet().mat, random_psd(2, rng)), (2, 2, 2)) for _ in range(3)]
     for T in (0.0, 0.5, 1.0, 1 / np.sqrt(3), 1 - 1 / np.sqrt(3)):
         for p in (0.0, 0.85, 1.0):
             ps = couple(
