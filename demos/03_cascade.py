@@ -2,8 +2,9 @@
 
 Every coupling is followed by an H-outcome measurement of its environment
 photon; one joint filtration at the end concentrates whatever entanglement
-survived.  Closed-form coefficients (A_N, B_N, C_N) track the simulation to
-machine precision.
+survived.  The closed forms, one normalized recursion over the measured
+state's populations and coherence, track the simulation to machine
+precision.
 
 Run:  python3 demos/03_cascade.py
 """
@@ -43,10 +44,10 @@ for n in (3, 5):
           f"P_III = {filtered_success_prob(co, eps_n):.2e}")
 
 # Mixed transmittivities work too; the closed form keeps track of the sign
-# of the coherence, which a naive -sqrt(A B) would get wrong here.
+# of the coherence x, which a naive -sqrt(a b) would get wrong here.
 params = CascadeParams((0.7, 0.3, 0.8), eps=0.1)
 co = coefficients(params)
 trace = simulate_cascade(params)
 print(f"\nmixed chain {params.transmittivities}: "
       f"C = {concurrence(trace.final_state).value:.4f}, "
-      f"signed coherence product {co.cross_signed:+.5f}")
+      f"signed coherence x {co.x:+.5f}")

@@ -1,17 +1,17 @@
 """N sequential couplings with fresh mixed environments.
 
-Closed forms, with R_i = 1 - T_i:
+Closed forms.  After each coupling and H measurement the state is X-form
+with HV, VH and VV populations (a, b, c) and HV-VH coherence x.  From the
+singlet's (1/2, 1/2, 0, -1/2), a coupling with R_i = 1 - T_i maps them as
 
-    A_N = prod T_i^2
-    B_N = prod (T_i - R_i)^2
-    C_N = R_N^2 B_{N-1} + T_N^2 C_{N-1},   C_1 = R_1^2
-    P_N = (A_N + B_N + C_N) / 2^(N+1)
+    a <- T_i^2 a,   b <- (T_i - R_i)^2 b,   c <- R_i^2 b + T_i^2 c,
+    x <- T_i (T_i - R_i) x,
 
-The post-measurement state is X-form with populations (A_N, B_N, C_N) and
-coherence -sqrt(A_N B_N); its concurrence is sqrt(A_N B_N) / (2^N P_N).
-The final joint filtration attenuates V on both modes by sqrt(eps) and the
-H component on the majority side by sqrt(min(A,B)/max(A,B)), giving
-concurrence 2 B_N / (2 B_N + eps C_N) when B_N <= A_N.
+then divides all four by their weight s_i = a + b + c, so a + b + c = 1 at
+every depth.  P_N = prod (s_i / 2) and the concurrence is 2 |x|.  The final
+joint filtration attenuates V on both modes by sqrt(eps) and H on the
+majority side by sqrt(m / max(a, b)), m = min(a, b): concurrence
+2 m / (2 m + eps c), success probability P_N eps (2 m + eps c).
 
 These closed forms are the p = 1 (fully indistinguishable) ones; at N = 1,
 :func:`closed_form_state` and ``p_success`` are the single-coupling sigma_II
@@ -58,38 +58,34 @@ class CascadeParams:
 
 @dataclass(frozen=True)
 class CascadeCoefficients:
+    """The measured state after N couplings, (a, b, c) summing to 1 and
+    coherence x, and P_N, the chance that every environment gave H."""
+
     a: float
     b: float
     c: float
-    n: int
-    # Signed product prod T_i (T_i - R_i); its magnitude is sqrt(a*b).  The
-    # N=1 state carries the signed coherence -T(T-R), so the general
-    # coherence is -cross_signed (writing it as -sqrt(A B) assumes the
-    # product is positive).
-    cross_signed: float = 0.0
-
-    @property
-    def p_success(self) -> float:
-        return (self.a + self.b + self.c) / 2 ** (self.n + 1)
+    x: float
+    p_success: float
 
 
 def coefficient_prefixes(params: CascadeParams) -> list[CascadeCoefficients]:
     """The coefficients of each prefix of the chain, N = 1 .. n, from one
-    pass of the recurrence."""
-    a = b = 1.0
+    pass of the normalized recursion."""
+    a = b = 0.5
     c = 0.0
-    cross = 1.0
+    x = -0.5
+    prob = 1.0
     prefixes = []
-    for i, t in enumerate(params.transmittivities):
-        r = 1.0 - t
-        if i == 0:
-            c = r**2
-        else:
-            c = r**2 * b + t**2 * c
-        a *= t**2
-        b *= (t - r) ** 2
-        cross *= t * (t - r)
-        prefixes.append(CascadeCoefficients(a, b, c, i + 1, cross))
+    for t in params.transmittivities:
+        # T - R as 2T - 1, exact for T >= 1/4; t - (1 - t) halves it at 0.5 - 2^-54.
+        r, u = 1.0 - t, 2.0 * t - 1.0
+        a, b, c, x = t**2 * a, u**2 * b, r**2 * b + t**2 * c, t * u * x
+        s = a + b + c
+        if s == 0.0:
+            raise ZeroProbabilityError("cascade state has zero weight")
+        a, b, c, x = a / s, b / s, c / s, x / s
+        prob *= s / 2.0
+        prefixes.append(CascadeCoefficients(a, b, c, x, prob))
     return prefixes
 
 
@@ -99,19 +95,14 @@ def coefficients(params: CascadeParams) -> CascadeCoefficients:
 
 
 def closed_form_state(coeffs: CascadeCoefficients) -> DensityMatrix:
-    total = coeffs.a + coeffs.b + coeffs.c
-    if total <= 0.0:
-        raise ZeroProbabilityError("cascade state has zero weight")
     m = np.zeros((4, 4), dtype=complex)
-    m[1, 1] = coeffs.a
-    m[2, 2] = coeffs.b
-    m[1, 2] = m[2, 1] = -coeffs.cross_signed
-    m[3, 3] = coeffs.c
-    return DensityMatrix(m / total, (2, 2))
+    m[1, 1], m[2, 2], m[3, 3] = coeffs.a, coeffs.b, coeffs.c
+    m[1, 2] = m[2, 1] = coeffs.x
+    return DensityMatrix(m, (2, 2))
 
 
 def closed_form_concurrence(coeffs: CascadeCoefficients) -> float:
-    return np.sqrt(coeffs.a * coeffs.b) / (2**coeffs.n * coeffs.p_success)
+    return 2.0 * abs(coeffs.x)
 
 
 def filtered_concurrence(coeffs: CascadeCoefficients, eps: float) -> float:
@@ -122,9 +113,9 @@ def filtered_concurrence(coeffs: CascadeCoefficients, eps: float) -> float:
 
 
 def filtered_success_prob(coeffs: CascadeCoefficients, eps: float) -> float:
-    """P_III for the cascade: eps (2 B_N + eps C_N) / 2^(N+1) when B <= A."""
+    """P_III for the cascade: P_N eps (2 m + eps c), m = min(a, b)."""
     m = min(coeffs.a, coeffs.b)
-    return eps * (2.0 * m + eps * coeffs.c) / 2 ** (coeffs.n + 1)
+    return coeffs.p_success * eps * (2.0 * m + eps * coeffs.c)
 
 
 def cascade_filter(state: DensityMatrix, eps: float) -> PostSelectedState:

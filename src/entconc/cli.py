@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import json
 import sys
 from typing import Any, Sequence
@@ -248,10 +249,11 @@ def cmd_cascade(cfg: dict, out, fmt: str) -> list[str]:
     header = ["N", "C_closed", "C_sim", "P_N"]
     for e in eps_list:
         header += [f"C_filt_eps_{e:g}", f"P_III_eps_{e:g}"]
-    # Simulate to n_max once and read each prefix from its measured_N step;
-    # A_N only shrinks with N, so the one filtration fails iff a prefix's would.
-    # Only C_sim sees p: C_closed, P_N and the C_filt_eps_*/P_III_eps_* columns
-    # are the p = 1 closed forms of the cascade module, whatever p is.
+    # Simulate to n_max once and read each prefix from its measured_N step; an
+    # HV population of 0 stays 0, so the one filtration fails iff a prefix's
+    # would.  Only C_sim sees p: C_closed, P_N and the C_filt_eps_*/P_III_eps_*
+    # columns are the p = 1 closed forms of one pass of the normalized
+    # recursion, whatever p is.
     params = CascadeParams(tuple(t_all[:n_max]), eps=1.0)
     steps = simulate_cascade(params, p=cfg["p"]).steps
     measured = {s.name: s.state for s in steps}
@@ -366,11 +368,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = read_config(args.command, args.config, args.set, args.seed)
-        if args.out is None:
-            notes = COMMANDS[args.command](cfg, sys.stdout, args.format)
-        else:
+        # Open --out only once the command has returned: a failure leaves it as it was.
+        buf = sys.stdout if args.out is None else io.StringIO()
+        notes = COMMANDS[args.command](cfg, buf, args.format)
+        if args.out is not None:
             with open(args.out, "w", newline="") as fh:
-                notes = COMMANDS[args.command](cfg, fh, args.format)
+                fh.write(buf.getvalue())
         for note in notes:
             print(note)
         return 0

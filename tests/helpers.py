@@ -1,8 +1,8 @@
 """Shared test helpers: random states and unitaries, sigma_II, and the
 reference forms (kets, X-form test and concurrence, feed-forward
 correction, per-projector Born probabilities, the coupling-by-coupling
-front and cascade, the exact cascade concurrences and the sweep's closed
-forms) that only the tests use."""
+front and cascade, the exact cascade concurrences and closed-form cells,
+and the sweep's closed forms) that only the tests use."""
 
 from fractions import Fraction
 
@@ -128,6 +128,65 @@ def exact_chain_concurrences(ts, p) -> list[Fraction]:
         # Normalizing keeps the denominators from growing with every step.
         a, b, c, x = a / s, b / s, c / s, x / s
         out.append(2 * abs(x))
+    return out
+
+
+def exact_cascade_cells(ts, eps_list=()) -> list[list[float] | None]:
+    """The closed-form cells of ``entconc cascade`` after each coupling of
+    the chain ``ts``: [C_closed, P_N] and one (C_filt, P_III) pair per eps,
+    each the double nearest its exact value.  A prefix of zero weight gives
+    None, and the list ends there.  It also ends, without a marker, before
+    the first coupling at which the weight s, a factor, a product or a
+    normalized value of the recursion is below the smallest normal double
+    without being 0: a double keeps only its bits above 2^-1074 there, so
+    doubles cannot follow the recursion to 1e-12 from that depth on.
+
+    Each T is n/d exactly (``float.as_integer_ratio``), so the p = 1
+    recursion of ``entconc.cascade`` runs in integers from A = B = 1,
+    C = 0, X = -1:
+
+        A' = n^2 A,  B' = (2n - d)^2 B,  C' = (d - n)^2 B + n^2 C,
+        X' = n (2n - d) X,
+
+    with the scale prod 2 d^2 kept apart.  With S = A + B + C, the
+    normalized (a, b, c, x) is (A, B, C, X) / S and P_N = S / (2 scale), so
+    with m = min(A, B) and eps = e/f every cell is one int / int, which
+    Python rounds correctly.  This is the p = 1 case of
+    :func:`exact_chain_concurrences` without its ``Fraction`` gcds, which
+    make that one take tens of seconds at depth 1100.
+    """
+
+    def subnormal(num, den):
+        return num != 0 and abs(num) << 1022 < den
+
+    eps = [e.as_integer_ratio() for e in eps_list]
+    A, B, C, X, scale = 1, 1, 0, -1, 1
+    out = []
+    for t in ts:
+        n, d = float(t).as_integer_ratio()
+        tt, uu, rr, tu = n * n, (2 * n - d) ** 2, (d - n) ** 2, n * (2 * n - d)
+        products = (tt * A, uu * B, rr * B, tt * C, tu * X)
+        prev = A + B + C
+        A, B, C, X = products[0], products[1], products[2] + products[3], products[4]
+        S = A + B + C
+        scale *= 2 * d * d
+        if S == 0:
+            out.append(None)
+            break
+        # The doubles: each factor (over d^2), product and sum (over d^2 times
+        # the previous weight) and normalized value (over S).
+        if (
+            any(subnormal(f, d * d) for f in (tt, uu, rr, tu))
+            or any(subnormal(v, d * d * prev) for v in (*products, C, S))
+            or any(subnormal(v, S) for v in (A, B, C, X))
+        ):
+            break
+        m = min(A, B)
+        row = [2 * abs(X) / S, S / (2 * scale)]
+        for e, f in eps:
+            w = 2 * m * f + e * C
+            row += [2 * m * f / w if m else 0.0, e * w / (2 * scale * f * f)]
+        out.append(row)
     return out
 
 

@@ -144,10 +144,12 @@ def test_criterion_4_cascade_consistency():
             abs(concurrence(pre_filter).value - closed_form_concurrence(coeffs)),
         )
     co2 = coefficients(CascadeParams((0.4, 0.4)))
+    # Unnormalized (0.0256, 0.0016, 0.072), of weight 0.0992 = 8 P_2.
     eq1 = (
-        abs(co2.a - 0.0256) <= 1e-12
-        and abs(co2.b - 0.0016) <= 1e-12
-        and abs(co2.c - 0.072) <= 1e-12
+        abs(co2.a - 0.0256 / 0.0992) <= 1e-12
+        and abs(co2.b - 0.0016 / 0.0992) <= 1e-12
+        and abs(co2.c - 0.072 / 0.0992) <= 1e-12
+        and abs(co2.p_success - 0.0124) <= 1e-12
     )
     elapsed = time.perf_counter() - start
     ok = worst_state <= 1e-10 and worst_conc <= 1e-12 and eq1 and elapsed < 10.0

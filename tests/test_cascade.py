@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,11 +18,11 @@ from entconc.cascade import (
     filtered_success_prob,
     simulate_cascade,
 )
-from entconc.errors import DegenerateCouplingError, EntconcError
+from entconc.errors import DegenerateCouplingError, EntconcError, ZeroProbabilityError
 from entconc.metrics import concurrence
 from entconc.protocol import apply_filter, couple_measure_grid, run_protocol
 from entconc.states import SINGLET_STANDARD
-from helpers import stepwise_cascade, stepwise_coupling
+from helpers import exact_cascade_cells, stepwise_cascade, stepwise_coupling
 
 SQ3 = 1.0 / np.sqrt(3)
 EDGE_TS = [0.0, 0.5, 1.0, float(SQ3), float(1 - SQ3), 5e-324, 1e-160, 1 - 1e-16]
@@ -34,11 +37,13 @@ def _cumulative(trace):
 
 class TestCoefficients:
     def test_two_stage_example(self):
+        # Unnormalized (T^4, (T-R)^4, R^2 (T-R)^2 + T^2 R^2) = (0.0256, 0.0016,
+        # 0.072), of weight 0.0992 = 8 P_2.
         coeffs = coefficients(CascadeParams((0.4, 0.4)))
-        assert coeffs.a == pytest.approx(0.0256, abs=1e-12)
-        assert coeffs.b == pytest.approx(0.0016, abs=1e-12)
-        assert coeffs.c == pytest.approx(0.072, abs=1e-12)
-        assert coeffs.p_success == pytest.approx((0.0256 + 0.0016 + 0.072) / 8, abs=1e-12)
+        assert coeffs.a == pytest.approx(0.0256 / 0.0992, abs=1e-12)
+        assert coeffs.b == pytest.approx(0.0016 / 0.0992, abs=1e-12)
+        assert coeffs.c == pytest.approx(0.072 / 0.0992, abs=1e-12)
+        assert coeffs.p_success == pytest.approx(0.0124, abs=1e-12)
 
     def test_single_stage_matches_protocol(self):
         # N = 1 is the single-coupling sigma_II and P_II of the paper.
@@ -58,13 +63,11 @@ class TestCoefficients:
         for _ in range(10):
             ts = tuple(rng.uniform(0.05, 0.95, rng.integers(1, 6)))
             coeffs = coefficients(CascadeParams(ts))
-            assert abs(coeffs.cross_signed) == pytest.approx(
-                np.sqrt(coeffs.a * coeffs.b), abs=1e-12
-            )
+            assert abs(coeffs.x) == pytest.approx(np.sqrt(coeffs.a * coeffs.b), abs=1e-12)
 
     def test_transparent_chain(self):
         coeffs = coefficients(CascadeParams((1.0, 1.0, 1.0)))
-        assert (coeffs.a, coeffs.b, coeffs.c) == (1.0, 1.0, 0.0)
+        assert (coeffs.a, coeffs.b, coeffs.c, coeffs.x) == (0.5, 0.5, 0.0, -0.5)
         assert closed_form_concurrence(coeffs) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -77,14 +80,21 @@ class TestCoefficients:
     )
     @example(ts=[0.4] * 24)
     def test_prefixes_are_the_shorter_chains(self, ts):
-        # One pass gives, bit for bit, what each prefix's own chain gives.
+        # One pass gives, bit for bit, what each prefix's own chain gives, and
+        # raises iff some prefix's own chain has zero weight.
         def bits(co):
-            return co.n, [x.hex() for x in (co.a, co.b, co.c, co.cross_signed)]
+            return [v.hex() for v in (co.a, co.b, co.c, co.x, co.p_success)]
 
-        prefixes = coefficient_prefixes(CascadeParams(tuple(ts)))
-        assert [co.n for co in prefixes] == list(range(1, len(ts) + 1))
-        for n, co in enumerate(prefixes, start=1):
-            assert bits(co) == bits(coefficients(CascadeParams(tuple(ts[:n]))))
+        own = []
+        for n in range(1, len(ts) + 1):
+            try:
+                own.append(bits(coefficients(CascadeParams(tuple(ts[:n])))))
+            except ZeroProbabilityError:
+                break
+        try:
+            assert [bits(co) for co in coefficient_prefixes(CascadeParams(tuple(ts)))] == own
+        except ZeroProbabilityError:
+            assert len(own) < len(ts)
 
     def test_rejects_empty_and_bad_eps(self):
         with pytest.raises(EntconcError):
@@ -171,12 +181,61 @@ class TestFilteredScaling:
         p1 = filtered_success_prob(coeffs, 1e-6)
         p2 = filtered_success_prob(coeffs, 2e-6)
         assert p2 / p1 == pytest.approx(2.0, rel=1e-3)
-        assert p1 == pytest.approx(2e-6 * min(coeffs.a, coeffs.b) / 8, rel=1e-3)
+        assert p1 == pytest.approx(2e-6 * min(coeffs.a, coeffs.b) * coeffs.p_success, rel=1e-3)
 
     def test_degenerate_chain_rejected(self):
         coeffs = coefficients(CascadeParams((0.0,)))
         with pytest.raises(DegenerateCouplingError):
             cascade_filter(closed_form_state(coeffs), 0.5)
+
+
+class TestExactReference:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pattern=st.lists(st.sampled_from(EDGE_TS) | st.floats(0.0, 1.0), min_size=1, max_size=4),
+        depth=st.integers(1, 1100),
+        eps=st.sampled_from([1.0, 5e-324]) | st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @example(pattern=[0.4], depth=1100, eps=0.25)
+    @example(pattern=[1e-160, 0.3], depth=2, eps=0.05)
+    @example(pattern=[0.5, 0.0], depth=2, eps=1.0)
+    @example(pattern=EDGE_TS[1:] + EDGE_TS[:1], depth=1100, eps=0.25)
+    def test_cells_match_the_integer_recursion(self, pattern, depth, eps):
+        # A chain of ``depth`` couplings cycling through ``pattern``: every
+        # cell is finite, and within 1e-12 of the exact value wherever that
+        # is a normal double and doubles can follow the recursion (see
+        # exact_cascade_cells); a prefix of zero weight raises.
+        ts = [pattern[i % len(pattern)] for i in range(depth)]
+        want = exact_cascade_cells(ts, [eps])
+        if want and want[-1] is None:
+            with pytest.raises(ZeroProbabilityError):
+                coefficient_prefixes(CascadeParams(tuple(ts[: len(want)])))
+            want.pop()
+        if not want:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = [
+                [
+                    closed_form_concurrence(co),
+                    co.p_success,
+                    filtered_concurrence(co, eps),
+                    filtered_success_prob(co, eps),
+                ]
+                for co in coefficient_prefixes(CascadeParams(tuple(ts[: len(want)])))
+            ]
+        assert np.isfinite(rows).all()
+        for row, cells in zip(rows, want):
+            for value, exact in zip(row, cells):
+                if exact >= sys.float_info.min:
+                    assert abs(value - exact) <= 1e-12 * exact, (row, cells)
+
+    def test_tiny_first_coupling(self):
+        # T = 1e-160 leaves a below the normal range, but C_closed reads only
+        # the coherence: C_N = prod T |T - R| / (2^N P_N) = 1.2e-161 / 0.37.
+        co = coefficients(CascadeParams((1e-160, 0.3)))
+        assert closed_form_concurrence(co) == pytest.approx(1.2e-161 / 0.37, rel=1e-15)
+        assert co.p_success == pytest.approx(0.0925, rel=1e-15)
 
 
 class TestPartialIndistinguishability:

@@ -610,6 +610,20 @@ class TestInterface:
         assert code == 2 and out == ""
         assert err == f"output error: [Errno 2] No such file or directory: {str(missing)!r}\n"
 
+    def test_failing_command_keeps_existing_output(self, tmp_path, capsys):
+        # Bare protocol fails at T = 0 (exit 2); --out is opened only after
+        # the command returns, so the old file keeps its bytes.
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"T,C\n0.4,0.5\n")
+        code, _, err = _run(["protocol", "--out", str(out)], capsys)
+        assert code == 2 and err.startswith("config error: ")
+        assert out.read_bytes() == b"T,C\n0.4,0.5\n"
+
+    def test_failing_command_creates_no_output(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, _ = _run(["protocol", "--out", str(out)], capsys)
+        assert code == 2 and not out.exists()
+
     def test_bad_set_syntax(self, capsys):
         code, _, err = _run(["sweep-coupling", "--set", "oops"], capsys)
         assert code == 2
