@@ -22,8 +22,8 @@ The ``C_filt_eps_*`` and ``P_III_eps_*`` columns of ``entconc cascade`` are
 coefficients whatever ``p`` is; only ``C_sim`` depends on ``p``.
 
 Stack contract along the depth axis: :func:`simulate_cascade` is the k = 1
-case of :func:`entconc.protocol.couple_measure_chains`, which validates each
-carrier at its depth and the N coupled snapshots as one stack.
+case of :func:`entconc.protocol.couple_measure_chains`, which validates the
+N coupled and the N measured states after the last coupling, one stack each.
 """
 
 from __future__ import annotations

@@ -140,12 +140,12 @@ def couple_grid(
 
 def _coupling_ops(params: Sequence[CouplingParams]) -> tuple[np.ndarray, ...]:
     """The (op, op^H, T^2, R^2) stack of the couplings in ``params``."""
-    # Per coupling: the entries _OP_INDEX picks from, then T^2 and R^2 by
-    # Python's float power, which can differ from T * T in the last bit.
-    # numpy multiplies a complex array by a float as by the complex float,
-    # so storing the squares as complex changes no product.
+    # Per coupling: the entries _OP_INDEX picks from, with T - R as 2T - 1 (exact for
+    # T >= 1/4; T - (1 - T) would round 1 - T first), then T^2 and R^2 by Python's
+    # float power, which can differ from T * T in the last bit.  numpy multiplies a
+    # complex array by a float as by the complex float: complex squares change no product.
     entries = np.array(
-        [(c.T - c.R, c.T, -c.R, 0.0, 0.0 * (c.T - c.R), -0.0, c.T**2, c.R**2) for c in params],
+        [(2 * c.T - 1, c.T, -c.R, 0.0, 0.0 * (2 * c.T - 1), -0.0, c.T**2, c.R**2) for c in params],
         dtype=complex,
     ).reshape(-1, 8)
     op = entries[:, _OP_INDEX]

@@ -174,12 +174,13 @@ def cmd_sweep_coupling(cfg: dict, out, fmt: str) -> list[str]:
     notes = []
     x_ab = _zero_crossing(t, c_ab)
     x_ae = _zero_crossing(t, c_ae)
+    # C_AB vanishes below the root T* of |T (T - pR)| = R^2 / 2, and C_AE above 1 - T*.
+    root = (model.p - 1 + np.sqrt((1 - model.p) ** 2 + 1 + 2 * model.p)) / (1 + 2 * model.p)
+    ab, ae = ("1/sqrt(3)=", "1-1/sqrt(3)=") if model.p == 1.0 else ("", "")
     if x_ab is not None:
-        notes.append(f"C_AB threshold near T={x_ab:.6g} (analytic 1/sqrt(3)={1 / np.sqrt(3):.6g})")
+        notes.append(f"C_AB threshold near T={x_ab:.6g} (analytic {ab}{root:.6g})")
     if x_ae is not None:
-        notes.append(
-            f"C_AE threshold near T={x_ae:.6g} (analytic 1-1/sqrt(3)={1 - 1 / np.sqrt(3):.6g})"
-        )
+        notes.append(f"C_AE threshold near T={x_ae:.6g} (analytic {ae}{1.0 - root:.6g})")
     be_note = f"C_BE maximal at T={t[c_be.argmax()]:.6g}" if c_be.any() else "C_BE is 0 at every T"
     notes.append(be_note)
     return notes

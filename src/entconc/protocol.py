@@ -57,7 +57,8 @@ import numpy as np
 from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState
 from .channel import _apply_ops, _coupling_ops
 from .errors import DimensionError, EntconcError, ZeroProbabilityError
-from .qmath import _TINY, DensityMatrix, _quotients, _settle, kron, normalize, normalize_stack
+from .qmath import _TINY, DensityMatrix, _quotients, _settle_stages, kron, normalize
+from .qmath import normalize_stack
 from .states import MIXED_ENV, SINGLET_STANDARD
 
 # A party's filter: amplitude factors (h, v) on |H> and |V>.
@@ -268,31 +269,30 @@ def couple_measure_chains(ts: Sequence[Sequence[float]], p: float = 1.0) -> list
     one operator stack.  Stage i couples each carrier with a fresh mixed
     environment (``coupled_i``); the H outcome, of probability P(H), is the
     next carrier (``measured_i``), the k of a stage normalized as one stack.
-    The k N coupled states are validated as one stack after the loop, or,
-    if it raises, those made so far.  The working set grows with k N."""
+    The loop tests each stage for zero measure; the k N coupled and k N
+    measured states are validated after it (those made so far, if it raises),
+    one stack each, with the first-error rule.  The working set grows with k N."""
     params = [CouplingParams(t) for chain in ts for t in chain]
     p = IndistinguishabilityModel(p).p
     k, n = len(ts), len(ts[0]) if ts else 0
     ops = [x.reshape(k, n, *x.shape[1:]) for x in _coupling_ops(params)]
     traces = [ProtocolTrace([ProtocolStep("input", SINGLET_STANDARD, 1.0)]) for _ in range(k)]
-    carriers = SINGLET_STANDARD.mat[None]
-    quotients = np.empty((n, k, 8, 8), dtype=complex)
-    snapshots, stages = [], []
+    carriers, stages, weights = SINGLET_STANDARD.mat[None], [], []
     try:
         for i in range(n):
             unnorm = _apply_ops(kron(carriers, MIXED_ENV.mat), p, *(x[:, i] for x in ops))
-            quotients[i], weights = _quotients(unnorm, (2, 2, 2))
-            snapshots += [object.__new__(DensityMatrix) for _ in weights]
-            states, _ = normalize_stack(quotients[i, :, ::2, ::2] + 0.0, (2, 2))
-            carriers = np.array([rho.mat for rho in states])
-            stages.append((weights, states))
+            mats, w = _quotients(unnorm, (2, 2, 2))
+            stages.append((mats, (2, 2, 2)))
+            weights.append(w)
+            carriers = _quotients(mats[:, ::2, ::2] + 0.0, (2, 2))[0]
+            stages.append((carriers, (2, 2)))
     finally:
-        _settle(snapshots, quotients.reshape(-1, 8, 8)[: len(snapshots)], (2, 2, 2))
+        rhos = _settle_stages(stages)
     for c, trace in enumerate(traces):
-        for i, (weights, states) in enumerate(stages):
-            coupled = PostSelectedState(snapshots[i * k + c], weights[c])
+        for i, w in enumerate(weights):
+            coupled = PostSelectedState(rhos[2 * i][c], w[c])
             trace.record(f"coupled_{i + 1}", coupled.rho, coupled.success_prob)
-            trace.record(f"measured_{i + 1}", states[c], outcome_probabilities(coupled)[0])
+            trace.record(f"measured_{i + 1}", rhos[2 * i + 1][c], outcome_probabilities(coupled)[0])
     return traces
 
 

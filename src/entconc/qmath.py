@@ -26,13 +26,13 @@ error, type and message, that its first bad state raises on its own.
 States are built from stacks too.  :func:`normalize_stack` is two steps:
 ``_quotients`` tests each of k unnormalized operators for zero measure, and
 ``_settle`` validates the k quotients with one :func:`_validate` call; each
-state keeps its slices of the quotient and of ``(w, V)``.  The coupling
-driver settles all of its coupled quotients as one stack.  :func:`normalize`
+state keeps its slices of the quotient and of ``(w, V)``.  :func:`normalize`
 is its k = 1 case, and the constructor sets up its one state the same way
 (``_settle``), so every state is validated exactly once.  A failing stack
 raises what a loop over its operators raises at the first bad one.
-:func:`ptrace_stack` builds the marginals of k states the same way, and
-``DensityMatrix.ptrace`` is its k = 1 case.
+:func:`ptrace_stack` builds k marginals the same way (``ptrace``, k = 1).
+The coupling driver settles all its coupled and all its measured quotients
+after its last coupling (``_settle_stages``), with the same first-error rule.
 """
 
 from __future__ import annotations
@@ -220,6 +220,23 @@ def _settle(states: list[DensityMatrix], mats: np.ndarray, dims: tuple[int, ...]
         object.__setattr__(rho, "mat", mats[i])
         object.__setattr__(rho, "dims", dims)
         object.__setattr__(rho, "eig", (w[i], v[i]))
+
+
+def _settle_stages(stages: list[tuple[np.ndarray, tuple[int, ...]]]) -> list[list[DensityMatrix]]:
+    """The states of a run's ``(k, d, d)`` stages, listed with their dims in run
+    order, from one :func:`_settle` call per dims.  If one fails, the stages are
+    validated again in run order: a run raises what its first bad stage raises."""
+    states = [[object.__new__(DensityMatrix) for _ in mats] for mats, _ in stages]
+    try:
+        for dims in dict.fromkeys(d for _, d in stages):
+            group = [i for i, (_, d) in enumerate(stages) if d == dims]
+            mats = np.concatenate([stages[i][0] for i in group])
+            _settle([rho for i in group for rho in states[i]], mats, dims)
+    except (DimensionError, InvariantViolation):
+        for mats, dims in stages:
+            _validate(mats, dims)
+        raise
+    return states
 
 
 def normalize_stack(

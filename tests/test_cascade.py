@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entconc import qmath
+from entconc import protocol, qmath
 from entconc.cascade import (
     CascadeParams,
     cascade_filter,
@@ -18,9 +18,16 @@ from entconc.cascade import (
     filtered_success_prob,
     simulate_cascade,
 )
-from entconc.errors import DegenerateCouplingError, EntconcError, ZeroProbabilityError
+from entconc.errors import (
+    DegenerateCouplingError,
+    EntconcError,
+    InvariantViolation,
+    NotHermitianError,
+    NotPSDError,
+    ZeroProbabilityError,
+)
 from entconc.metrics import concurrence
-from entconc.protocol import apply_filter, couple_measure_grid, run_protocol
+from entconc.protocol import apply_filter, couple_measure_chains, couple_measure_grid, run_protocol
 from entconc.states import SINGLET_STANDARD
 from helpers import exact_cascade_cells, stepwise_cascade, stepwise_coupling
 
@@ -304,6 +311,57 @@ def _run_bits(run, params, p):
     ]
 
 
+def _not_hermitian(m):
+    m = m.copy()
+    m[0, 1] += 0.1
+    return m
+
+
+def _not_psd(m):
+    # Trace 1 and finite, with the eigenvalue -0.5.
+    out = np.zeros_like(m)
+    out[0, 0], out[1, 1] = 1.5, -0.5
+    return out
+
+
+def _bad_trace(m):
+    return 1.1 * m
+
+
+# A finite, invalid state of each kind, and the error it raises.
+PLANTS = {
+    "not Hermitian": (_not_hermitian, NotHermitianError),
+    "not PSD": (_not_psd, NotPSDError),
+    "bad trace": (_bad_trace, InvariantViolation),
+}
+
+
+def _plant(monkeypatch, plants):
+    """Patch ``_quotients`` (qmath's, which ``normalize`` and so ``couple``
+    and ``measure_env`` call, and the driver's) so that at the given stages
+    the quotient of the given chain is replaced.  ``plants`` maps (qubits,
+    depth, chain) to a function of the quotient: 3 qubits is the coupled
+    stage of that depth, 2 its measured stage.  Each call of the returned
+    function starts the stage count again, for one run."""
+    real = qmath._quotients
+
+    def start():
+        counts = {2: 0, 3: 0}
+
+        def planted(unnorm, dims):
+            mats, weights = real(unnorm, dims)
+            counts[len(dims)] += 1
+            for (qubits, depth, chain), make in plants.items():
+                if (qubits, depth) == (len(dims), counts[qubits]):
+                    mats[chain] = make(mats[chain])
+            return mats, weights
+
+        monkeypatch.setattr(qmath, "_quotients", planted)
+        monkeypatch.setattr(protocol, "_quotients", planted)
+
+    return start
+
+
 class TestStackedDriver:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -325,8 +383,8 @@ class TestStackedDriver:
         assert _run_bits(simulate_cascade, params, p) == _run_bits(stepwise_cascade, params, p)
 
     def test_snapshots_validated_as_one_stack(self, monkeypatch):
-        # Each 4x4 carrier is validated at its depth (and the filtered state
-        # once); the 24 coupled 8x8 snapshots in one call.
+        # The 24 coupled 8x8 snapshots in one call, the 24 measured 4x4
+        # carriers in one call after the loop, and the filtered state once.
         calls = []
         real = qmath._validate
 
@@ -337,12 +395,45 @@ class TestStackedDriver:
         monkeypatch.setattr(qmath, "_validate", counting)
         simulate_cascade(CascadeParams((0.37,) * 24, eps=0.3), 0.85)
         assert [k for n, k in calls if n == 3] == [24]
-        assert [k for n, k in calls if n == 2] == [1] * 25
+        assert [k for n, k in calls if n == 2] == [24, 1]
         # The one-coupling front of a 32-T grid: one 8x8 call for the 32
         # coupled states and one 4x4 call for the 32 measured ones.
         calls.clear()
         couple_measure_grid(np.linspace(0.01, 0.99, 32).tolist(), 0.85)
         assert sorted(calls) == [(2, 32), (3, 32)]
+
+    @pytest.mark.parametrize("kind", sorted(PLANTS))
+    @pytest.mark.parametrize("qubits", [3, 2])
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    def test_planted_state_fails_as_stepwise(self, monkeypatch, kind, qubits, depth):
+        # The driver validates its stages after the loop and runs on past a
+        # bad one; it must still raise what the stepwise chain raises at it,
+        # not what a later coupling of the bad carrier raises.
+        make, error = PLANTS[kind]
+        start = _plant(monkeypatch, {(qubits, depth, 0): make})
+        params = CascadeParams((0.37, 0.6, 0.45, 0.8, 0.3, 0.55), eps=0.5)
+        start()
+        got = _run_bits(simulate_cascade, params, 0.85)
+        start()
+        assert got == _run_bits(stepwise_cascade, params, 0.85)
+        assert issubclass(got[0], error)
+
+    @pytest.mark.parametrize(
+        "plants, message",
+        [
+            # A stage fails before a later one, whatever their chains.
+            ({(2, 2, 2): _bad_trace, (3, 3, 0): _not_hermitian}, "trace"),
+            # At one depth the coupled stage precedes the measured one.
+            ({(3, 2, 2): _not_psd, (2, 2, 0): _not_hermitian}, "eigenvalue"),
+            # Within a stage the first chain fails first.
+            ({(3, 3, 1): _bad_trace, (3, 3, 0): _not_psd}, "eigenvalue"),
+            ({(2, 4, 2): _not_psd, (2, 4, 1): _not_hermitian}, "not Hermitian"),
+        ],
+    )
+    def test_chains_fail_at_their_first_bad_stage(self, monkeypatch, plants, message):
+        _plant(monkeypatch, plants)()
+        with pytest.raises(InvariantViolation, match=message):
+            couple_measure_chains([[0.37, 0.6, 0.45, 0.8]] * 3, 0.85)
 
     @pytest.mark.parametrize(
         "ts, p, error",

@@ -1,10 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entconc import fock
-from entconc.channel import CouplingParams, IndistinguishabilityModel, couple, couple_grid
+from entconc.channel import (
+    CouplingParams,
+    IndistinguishabilityModel,
+    _coupling_ops,
+    couple,
+    couple_grid,
+)
 from entconc.errors import EntconcError, ZeroProbabilityError
 from entconc.metrics import concurrence
 from entconc.qmath import ATOL, DensityMatrix, kron
@@ -285,3 +293,18 @@ class TestCoupleGrid:
     def test_empty_grid(self):
         model = IndistinguishabilityModel(0.5)
         assert couple_grid(singlet_standard(), mixed_env(), [], model) == []
+
+
+class TestCouplingEntries:
+    @settings(max_examples=200, deadline=None)
+    @given(T=st.floats(0.25, 0.5, exclude_max=True))
+    @example(T=0.49999999999999994)
+    @example(T=0.4999999999999999)
+    @example(T=0.25)
+    def test_t_minus_r_is_correctly_rounded_below_half(self, T):
+        # The T - R entry, and the signed zero 0 (T - R) beside it, carry the
+        # double nearest the exact T - (1 - T); for T >= 1/4 it is exact.
+        op = _coupling_ops([CouplingParams(T)])[0][0]
+        exact = float(Fraction(T) - (1 - Fraction(T)))
+        assert op[0, 0] == op[3, 3] == op[4, 4] == op[7, 7] == exact
+        assert np.signbit(op[0, 4].real) == np.signbit(exact)
