@@ -128,14 +128,16 @@ def couple_grid(
     """The Kraus map of the module docstring at each coupling in ``params``,
     each operator normalized once, so success_prob = p * prob_coherent +
     (1-p) * prob_distinguishable.  A branch of weight 0 is not computed.
-    The stack's working set grows with ``len(params)``: chunk long grids."""
+    The inputs have unit trace, so a weight that rounds above 1 (at T = 0
+    or 1) is capped at 1.  The stack's working set grows with
+    ``len(params)``: chunk long grids."""
     if signal.dims != (2, 2):
         raise DimensionError(f"couple: signal dims {signal.dims}, expected (2, 2)")
     if env.dims != (2,):
         raise DimensionError(f"couple: env dims {env.dims}, expected (2,)")
     unnorm = _apply_ops(kron(signal.mat, env.mat), model.p, *_coupling_ops(params))
     states, probs = normalize_stack(unnorm, (2, 2, 2))
-    return [PostSelectedState(rho, prob) for rho, prob in zip(states, probs)]
+    return [PostSelectedState(rho, min(prob, 1.0)) for rho, prob in zip(states, probs)]
 
 
 def _coupling_ops(params: Sequence[CouplingParams]) -> tuple[np.ndarray, ...]:

@@ -278,8 +278,8 @@ def cmd_hom(cfg: dict, out, fmt: str) -> list[str]:
     rows = []
     for ov in cfg["overlap_grid"]:
         dip = hom_coincidence(t, ov)
-        visibility = (c_dist - dip) / c_dist
-        rows.append([ov, dip, visibility, visibility * c_dist / (c_dist - c_id)])
+        # Not visibility * c_dist / (c_dist - c_id), which can round above 1.
+        rows.append([ov, dip, (c_dist - dip) / c_dist, (c_dist - dip) / (c_dist - c_id)])
     write_table(["overlap", "dip_rate", "visibility", "p_recovered"], rows, out, fmt)
     return [
         f"coincidence at T=0.5: identical={hom_coincidence(0.5, 1.0):.12g}, "

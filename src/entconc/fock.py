@@ -122,8 +122,8 @@ def oracle_couple(
     from .channel import PostSelectedState  # local import, avoids a cycle
 
     env_tag = "e" if distinguishable else "s"
-    sig_w, sig_v = signal.eig
-    env_w, env_v = env.eig
+    sig_w, sig_v = np.linalg.eigh(signal.mat)
+    env_w, env_v = np.linalg.eigh(env.mat)
     total = np.zeros((8, 8), dtype=complex)
     for i, ws in enumerate(sig_w):
         if ws <= 1e-14:

@@ -52,9 +52,9 @@ def _x_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return (g[:, 6:] == 0).all(1), values, roots, mods
 
 
-def _wootters(w: np.ndarray, v: np.ndarray) -> list[ConcurrenceReport]:
-    """Wootters concurrence of each state in a stack of two-qubit states,
-    given as its descending eigendecomposition: ``w`` (k, 4), ``V`` (k, 4, 4).
+def _wootters(mats: np.ndarray) -> list[ConcurrenceReport]:
+    """Wootters concurrence of each state in a ``(k, 4, 4)`` stack of
+    two-qubit states.
 
     The lambdas are the square roots of the eigenvalues of rho * rho_tilde
     with rho_tilde = (sy x sy) conj(rho) (sy x sy); conjugation is entrywise
@@ -64,7 +64,7 @@ def _wootters(w: np.ndarray, v: np.ndarray) -> list[ConcurrenceReport]:
     lambdas directly; taking them from the SVD avoids the square-root
     precision loss of near-zero eigenvalues.
     """
-    root = psd_sqrt((w, v))
+    root = psd_sqrt(mats)
     # Singular values come back in descending order.
     lams = np.linalg.svd(root @ _YY @ root.swapaxes(1, 2), compute_uv=False).tolist()
     return [
@@ -81,13 +81,13 @@ def concurrences(states: Sequence[DensityMatrix]) -> list[ConcurrenceReport]:
             raise DimensionError(f"concurrence: need two qubits, got dims {rho.dims}")
     if not states:
         return []
-    x_form, values, roots, mods = _x_form(np.stack([rho.mat for rho in states]))
+    mats = np.stack([rho.mat for rho in states])
+    x_form, values, roots, mods = _x_form(mats)
     lams = np.sort(np.concatenate([roots + mods[:, ::-1], roots - mods[:, ::-1]], 1))[:, ::-1]
     reports = list(map(ConcurrenceReport, values.tolist(), map(tuple, lams.tolist())))
     if x_form.all():
         return reports
-    w, v = (np.stack(a)[~x_form] for a in zip(*(rho.eig for rho in states)))
-    rest = iter(_wootters(w, v))
+    rest = iter(_wootters(mats[~x_form]))
     return [r if x else next(rest) for r, x in zip(reports, x_form.tolist())]
 
 
@@ -107,10 +107,10 @@ def pair_concurrences(rho: DensityMatrix) -> tuple[float, float, float]:
     if rho.dims != (2, 2, 2):
         raise DimensionError(f"pair_concurrences: need three qubits, got dims {rho.dims}")
     marginals = rho.mat.ravel()[_PAIR_INDEX].sum(-1)
-    w, v = _validate(marginals, (2, 2))
+    _validate(marginals, (2, 2))
     x_form, values, _, _ = _x_form(marginals)
     if not x_form.all():
-        values[~x_form] = [r.value for r in _wootters(w[~x_form], v[~x_form])]
+        values[~x_form] = [r.value for r in _wootters(marginals[~x_form])]
     return tuple(values.tolist())
 
 
@@ -118,7 +118,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
     if rho.dim != sigma.dim:
         raise DimensionError(f"fidelity: dims {rho.dim} vs {sigma.dim}")
-    root = psd_sqrt(rho)
+    root = psd_sqrt(rho.mat)
     inner = root @ sigma.mat @ root
     # inner is PSD up to roundoff; clamp its spectrum.
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)

@@ -7,29 +7,26 @@ not arithmetic, and each state does its work once:
 
 - validate on construction: every :class:`DensityMatrix` checks dimension,
   trace, Hermiticity and positivity when it is built, and never again;
-- decompose once: the positivity check runs one ``eigh`` and the state keeps
-  its descending ``(w, V)`` as ``eig``, the only eigendecomposition of a
-  state.  :func:`psd_sqrt` and every other spectral computation read it, so
-  a state is never diagonalized twice;
 - ``mat`` is a read-only copy of the input (a state built in a stack holds
-  its own slice of one new array), so the kept decomposition cannot go
-  stale.  Derive a new matrix and construct a new :class:`DensityMatrix`
-  instead of writing into ``mat``.
+  its own slice of one new array), so a validated state stays valid.  Derive
+  a new matrix and construct a new :class:`DensityMatrix` instead of writing
+  into ``mat``.  A state keeps no decomposition: the positivity check needs
+  eigenvalues only, and the few readers that need eigenvectors
+  (:func:`psd_sqrt`) decompose their own input.
 
 Stack contract: the checks exist once, in :func:`_validate`, which takes a
 ``(k, d, d)`` stack and runs each check once over the whole stack.
 A single state is its k = 1 case (``DensityMatrix.__post_init__``).  A stack
 that fails is checked again one state at a time, so it raises exactly the
 error, type and message, that its first bad state raises on its own.
-:func:`psd_sqrt` takes such a stack's ``(w, V)`` as well.
 
 States are built from stacks too.  :func:`normalize_stack` is two steps:
 ``_quotients`` tests each of k unnormalized operators for zero measure, and
 ``_settle`` validates the k quotients with one :func:`_validate` call; each
-state keeps its slices of the quotient and of ``(w, V)``.  :func:`normalize`
-is its k = 1 case, and the constructor sets up its one state the same way
-(``_settle``), so every state is validated exactly once.  A failing stack
-raises what a loop over its operators raises at the first bad one.
+state keeps its slice of the quotient.  :func:`normalize` is its k = 1 case,
+and the constructor sets up its one state the same way (``_settle``), so
+every state is validated exactly once.  A failing stack raises what a loop
+over its operators raises at the first bad one.
 :func:`ptrace_stack` builds k marginals the same way (``ptrace``, k = 1).
 The coupling driver settles all its coupled and all its measured quotients
 after its last coupling (``_settle_stages``), with the same first-error rule.
@@ -125,25 +122,25 @@ def _is_close_to_adjoint(m: np.ndarray) -> bool:
     return bool((np.abs(m - mh) <= ATOL + 1e-5 * np.abs(mh)).all())
 
 
-def psd_sqrt(m: DensityMatrix | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Hermitian square root of a :class:`DensityMatrix` (from its kept
-    decomposition), or of a stack given as the descending ``(w, V)`` that
-    :func:`_validate` returns.
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a ``(d, d)`` matrix or of each matrix in a
+    ``(k, d, d)`` stack, from one ``eigh`` with its eigenpairs in descending
+    order.
 
     Eigenvalues in [-ATOL, 0) are clamped to zero; anything more negative is
     rejected.
     """
-    w, v = m if isinstance(m, tuple) else m.eig
+    # eigh sorts ascending, so descending order is its reversal.
+    w, v = np.linalg.eigh(m)
+    w, v = w[..., ::-1], v[..., ::-1]
     if w.min() < -ATOL:
         raise NotPSDError(f"psd_sqrt: eigenvalue {w.min():.3e}")
     w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _validate(mats: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Check a ``(k, d, d)`` stack of density matrices over subsystems
-    ``dims`` and return its descending eigendecomposition ``(w, V)``, of
-    shapes ``(k, d)`` and ``(k, d, d)``.
+def _validate(mats: np.ndarray, dims: tuple[int, ...]) -> None:
+    """Check a ``(k, d, d)`` stack of density matrices over subsystems ``dims``.
 
     Each check (dimension, trace, Hermiticity, positivity) runs once over the
     whole stack, not once per state.  If the stack fails, its states are
@@ -164,13 +161,12 @@ def _validate(mats: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.n
     trace_ok = not any(math.hypot(t.real - 1.0, t.imag) > ATOL for t in tr)
     hermitian = trace_ok and _is_hermitian(mats)
     if hermitian:
-        # eigh sorts ascending, so descending order is its reversal.
-        w, v = np.linalg.eigh(mats)
-        w, v = w[:, ::-1], v[:, :, ::-1]
+        # eigvalsh sorts ascending: column 0 holds each least eigenvalue.
+        w = np.linalg.eigvalsh(mats)[:, 0]
         # Each least eigenvalue on its own: a NaN passes, as in a scalar
         # compare, without hiding a negative one elsewhere in the stack.
-        if not any(x < -ATOL for x in w[:, -1].tolist()):
-            return w, v
+        if not any(x < -ATOL for x in w.tolist()):
+            return
     if len(mats) > 1:
         for m in mats:
             _validate(m[None], dims)
@@ -178,22 +174,20 @@ def _validate(mats: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.n
         raise InvariantViolation(f"DensityMatrix: trace {tr[0]:.12f} != 1")
     if not hermitian:
         raise NotHermitianError("DensityMatrix: not Hermitian")
-    raise NotPSDError(f"DensityMatrix: eigenvalue {w[0, -1]:.3e}")
+    raise NotPSDError(f"DensityMatrix: eigenvalue {w[0]:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix over a list of qubit/qudit subsystems.
 
-    ``mat`` is a read-only copy of the input; ``eig`` is its descending
-    eigendecomposition ``(w, V)``, computed once by validation.  Equality
-    and hashing are by identity: two states compare equal only if they are
-    the same object, so states can be used in sets and as dict keys.
+    ``mat`` is a read-only copy of the input.  Equality and hashing are by
+    identity: two states compare equal only if they are the same object, so
+    states can be used in sets and as dict keys.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...] = field(default=(2, 2))
-    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         _settle([self], np.array(self.mat, dtype=complex)[None], tuple(map(int, self.dims)))
@@ -209,17 +203,13 @@ class DensityMatrix:
 
 def _settle(states: list[DensityMatrix], mats: np.ndarray, dims: tuple[int, ...]):
     """Validate the new ``(k, d, d)`` stack ``mats`` with one :func:`_validate`
-    call, and give state i its read-only fields: ``mats[i]``, ``dims`` and its
-    slice of the decomposition.  Every state, built alone or in a stack, is
-    validated here once."""
+    call, and give state i its read-only fields: ``mats[i]`` and ``dims``.
+    Every state, built alone or in a stack, is validated here once."""
     mats.flags.writeable = False
-    w, v = _validate(mats, dims)
-    w.flags.writeable = False
-    v.flags.writeable = False
+    _validate(mats, dims)
     for i, rho in enumerate(states):
         object.__setattr__(rho, "mat", mats[i])
         object.__setattr__(rho, "dims", dims)
-        object.__setattr__(rho, "eig", (w[i], v[i]))
 
 
 def _settle_stages(stages: list[tuple[np.ndarray, tuple[int, ...]]]) -> list[list[DensityMatrix]]:

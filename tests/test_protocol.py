@@ -31,7 +31,16 @@ from entconc.protocol import (
 )
 from entconc.qmath import DensityMatrix, kron, normalize, partial_trace, ptrace_stack
 from entconc.states import SINGLET_STANDARD, mixed_env, singlet_standard
-from helpers import KET_H, KET_V, feed_forward, is_x_form, random_psd, sigma2, stepwise_coupling
+from helpers import (
+    KET_H,
+    KET_V,
+    feed_forward,
+    is_x_form,
+    prob_bits,
+    random_psd,
+    sigma2,
+    stepwise_coupling,
+)
 
 
 def _post_measurement(T, result="H"):
@@ -367,12 +376,9 @@ def _same_bits(a, b):
 
 
 def _assert_same_state(got, want):
-    # Same arithmetic, so the same bits: matrix, dims and the decomposition
-    # kept by validation.
+    # Same arithmetic, so the same bits: matrix and dims.
     assert got.dims == want.dims
     assert _same_bits(got.mat, want.mat)
-    assert _same_bits(got.eig[0], want.eig[0])
-    assert _same_bits(got.eig[1], want.eig[1])
     assert not got.mat.flags.writeable
 
 
@@ -398,7 +404,7 @@ def _assert_reference_front(trace, T, p, feed):
     coupled, (prob_h, prob_v), measured = stepwise_coupling(SINGLET_STANDARD, T, p)
     assert [s.name for s in trace.steps[:3]] == ["input", "coupled", "measured"]
     _assert_same_state(trace.steps[1].state, coupled.rho)
-    assert float(trace.steps[1].step_prob).hex() == float(coupled.success_prob).hex()
+    assert prob_bits(trace.steps[1].step_prob) == float(coupled.success_prob).hex()
     _assert_same_state(trace.steps[2].state, measured.rho)
     want = prob_h + prob_v if feed else prob_h
     assert float(trace.steps[2].step_prob).hex() == float(want).hex()

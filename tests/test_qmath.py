@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -136,56 +137,70 @@ class TestPartialTrace:
 
 
 class TestHermEigen:
-    """The decomposition each state keeps from validation, ``DensityMatrix.eig``."""
+    """The spectrum of a validated state, the one its positivity check reads."""
 
     def test_diagonal(self):
-        w, v = DensityMatrix(np.diag([3.0, 1.0]) / 4, (2,)).eig
-        assert np.allclose(w, [0.75, 0.25])
-        assert np.allclose(np.abs(v), np.eye(2))
+        rho = DensityMatrix(np.diag([3.0, 1.0]) / 4, (2,))
+        assert np.allclose(np.linalg.eigvalsh(rho.mat), [0.25, 0.75])
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.7, 1.0])
     def test_werner_spectrum(self, q):
-        w, _ = werner(q).eig
-        expected = sorted([(1 + 3 * q) / 4] + [(1 - q) / 4] * 3, reverse=True)
+        w = np.linalg.eigvalsh(werner(q).mat)
+        expected = sorted([(1 + 3 * q) / 4] + [(1 - q) / 4] * 3)
         assert np.allclose(w, expected, atol=1e-12)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         for dims in ((2,), (2, 2), (2, 2, 2)):
             m = random_psd(2 ** len(dims), rng)
-            w, v = DensityMatrix(m, dims).eig
-            assert np.abs((v * w) @ v.conj().T - m).max() < 1e-9
+            root = psd_sqrt(DensityMatrix(m, dims).mat)
+            assert np.abs(root @ root - m).max() < 1e-9
 
     def test_density_matrix_eigenvalues_sum_to_one(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             rho = DensityMatrix(random_psd(4, rng), (2, 2))
-            assert abs(rho.eig[0].sum() - 1.0) < 1e-9
+            assert abs(np.linalg.eigvalsh(rho.mat).sum() - 1.0) < 1e-9
+
+
+def _descending_root(m: np.ndarray) -> np.ndarray:
+    """The square root of a PSD ``m`` from a new ``eigh``, summed over its
+    eigenpairs in descending order: the reference for :func:`psd_sqrt`."""
+    w, v = np.linalg.eigh(m)
+    w, v = w[::-1], v[:, ::-1]
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
 
 
 class TestPsdSqrt:
     def test_scaled_identity(self):
-        root = psd_sqrt(DensityMatrix(np.eye(4) / 4, (2, 2)))
+        root = psd_sqrt(np.eye(4) / 4)
         assert np.abs(root - np.eye(4) / 2).max() < 1e-12
 
     def test_pure_projector_idempotent(self):
         proj = singlet()
-        assert np.abs(psd_sqrt(proj) - proj.mat).max() < 1e-9
+        assert np.abs(psd_sqrt(proj.mat) - proj.mat).max() < 1e-9
 
     def test_diagonal(self):
-        out = psd_sqrt(DensityMatrix(np.diag([4.0, 1.0]) / 5, (2,)))
+        out = psd_sqrt(np.diag([4.0, 1.0]) / 5)
         assert np.abs(out - np.diag([2.0, 1.0]) / np.sqrt(5)).max() < 1e-12
 
     def test_square_reproduces(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             m = random_psd(4, rng)
-            r = psd_sqrt(DensityMatrix(m, (2, 2)))
+            r = psd_sqrt(DensityMatrix(m, (2, 2)).mat)
             assert np.abs(r @ r - m).max() < 1e-9
 
     def test_rejects_negative(self):
         with pytest.raises(NotPSDError):
-            psd_sqrt((np.array([1.0, -0.5]), np.eye(2)))
+            psd_sqrt(np.diag([1.0, -0.5]))
+
+    def test_stack_is_each_matrix_alone(self):
+        mats = np.array([rho.mat for rho in _states(np.random.default_rng(7))])
+        roots = psd_sqrt(mats)
+        for m, root in zip(mats, roots, strict=True):
+            assert np.array_equal(root, psd_sqrt(m))
+            assert np.array_equal(root, _descending_root(m))
 
 
 class TestDensityMatrix:
@@ -277,8 +292,6 @@ class TestNormalizeStack:
         assert weights == [w for _, w in want]
         for rho, (alone, _) in zip(states, want, strict=True):
             assert rho.mat.tobytes() == alone.mat.tobytes()
-            assert rho.eig[0].tobytes() == alone.eig[0].tobytes()
-            assert rho.eig[1].tobytes() == alone.eig[1].tobytes()
             assert rho.dims == (2, 2) and not rho.mat.flags.writeable
 
     def test_one_validation_per_stack(self, monkeypatch):
@@ -296,7 +309,6 @@ class TestNormalizeStack:
         assert calls == [5]
         for a, b in zip(states, states[1:]):
             assert not np.shares_memory(a.mat, b.mat)
-            assert not np.shares_memory(a.eig[1], b.eig[1])
         with pytest.raises(ValueError):
             states[0].mat[0, 0] = 1.0
 
@@ -313,7 +325,7 @@ def _allclose_hermitian(m):
 
 def _reference_validation(mat, dims):
     """Reference checks DensityMatrix must agree with: np.allclose for
-    Hermiticity and eigvalsh for positivity, no kept decomposition."""
+    Hermiticity and eigvalsh for positivity, one matrix at a time."""
     mat = np.asarray(mat, dtype=complex)
     d = int(np.prod(dims))
     if mat.shape != (d, d):
@@ -541,23 +553,13 @@ def _states(rng):
     return out
 
 
-def _fresh_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A new descending ``eigh`` of ``m``: the reference for a kept ``eig``."""
-    w, v = np.linalg.eigh(m)
-    return w[::-1], v[:, ::-1]
-
-
-class TestKeptDecomposition:
-    def test_psd_sqrt_and_herm_eigen_bitwise_equal(self):
-        for rho in _states(np.random.default_rng(7)):
-            w, v = _fresh_eig(rho.mat)
-            w_kept, v_kept = rho.eig
-            assert np.array_equal(w, w_kept) and np.array_equal(v, v_kept)
-            assert np.array_equal(psd_sqrt(rho), psd_sqrt((w, v)))
+class TestReadersOfMat:
+    """Every reader computes from ``mat`` alone, bit for bit the reference
+    formula on it; ``mat`` is a read-only copy of the input."""
 
     def test_concurrence_bitwise_equal(self):
         # An X-form state gets the closed form, bit for bit; any other state
-        # the Wootters route over a fresh decomposition.
+        # the Wootters route over a new decomposition of its matrix.
         kinds = set()
         for rho in _states(np.random.default_rng(8)):
             m = rho.mat
@@ -571,7 +573,7 @@ class TestKeptDecomposition:
                 lam = sorted([roots[0] + mods[1], roots[1] + mods[0],
                               roots[0] - mods[1], roots[1] - mods[0]], reverse=True)
             else:
-                root = psd_sqrt(_fresh_eig(m))
+                root = _descending_root(m)
                 lam = np.sort(np.linalg.svd(root @ _YY @ root.T, compute_uv=False))[::-1]
                 value = min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0)
             kinds.add(x_form)
@@ -580,21 +582,10 @@ class TestKeptDecomposition:
             assert got.lambdas == tuple(float(x) for x in lam)
         assert kinds == {True, False}
 
-    def test_reversal_is_the_old_argsort_order(self):
-        # Descending order is eigh's output reversed; on the degenerate
-        # spectra of the channel's marginals and Werner states that is the
-        # order argsort gave.
-        for rho in _states(np.random.default_rng(12)):
-            w, v = np.linalg.eigh(rho.mat)
-            order = np.argsort(w)[::-1]
-            assert np.array_equal(order, np.arange(len(w))[::-1])
-            w_kept, v_kept = rho.eig
-            assert np.array_equal(w_kept, w[order]) and np.array_equal(v_kept, v[:, order])
-
     def test_fidelity_bitwise_equal(self):
         states = _states(np.random.default_rng(9))
         for rho, sigma in zip(states, states[1:]):
-            root = psd_sqrt(_fresh_eig(rho.mat))
+            root = _descending_root(rho.mat)
             inner = root @ sigma.mat @ root
             w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
             want = min(max(float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2), 0.0), 1.0)
@@ -604,11 +595,6 @@ class TestKeptDecomposition:
         rho = DensityMatrix(random_psd(4, np.random.default_rng(10)), (2, 2))
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 1.0
-        w, v = rho.eig
-        with pytest.raises(ValueError):
-            w[0] = 0.0
-        with pytest.raises(ValueError):
-            v[0, 0] = 0.0
 
     def test_mat_is_an_owned_copy(self):
         src = random_psd(4, np.random.default_rng(11))
@@ -616,6 +602,9 @@ class TestKeptDecomposition:
         before = rho.mat.copy()
         src[0, 0] += 1.0
         assert np.array_equal(rho.mat, before)
+
+    def test_fields_are_mat_and_dims(self):
+        assert [f.name for f in dataclasses.fields(DensityMatrix)] == ["mat", "dims"]
 
 
 class TestIdentitySemantics:
@@ -682,10 +671,8 @@ class TestStackValidation:
             mats.insert(at, _bad_state(kind, dim, rng))
         stack = np.array(mats, dtype=complex)
         if not failures:
-            w, v = _validate(stack, dims)
-            for i, m in enumerate(mats):
-                w_one, v_one = DensityMatrix(m, dims).eig
-                assert np.array_equal(w[i], w_one) and np.array_equal(v[i], v_one)
+            assert _raised(_validate, stack, dims) is None
+            assert all(_raised(DensityMatrix, m, dims) is None for m in mats)
             return
         first = next(m for m in mats if _raised(DensityMatrix, m, dims) is not None)
         want = _raised(DensityMatrix, first, dims)
@@ -705,6 +692,44 @@ class TestStackValidation:
     def test_wrong_shape_stack(self):
         stack = np.array([np.eye(4) / 4] * 3, dtype=complex)
         assert _raised(_validate, stack, (2,)) == _raised(DensityMatrix, np.eye(4) / 4, (2,))
+
+
+def _planted(dim, side, delta, rng):
+    """A unit-trace state whose least eigenvalue is -ATOL + side * delta,
+    rotated by a random unitary."""
+    least = -ATOL + side * delta
+    w = rng.random(dim - 1) + 0.1
+    w = np.append(w * (1.0 - least) / w.sum(), least)
+    u = random_unitary(dim, rng)
+    return (u * w) @ u.conj().T
+
+
+class TestAcceptSet:
+    """The positivity check decides by the side of -ATOL the least eigenvalue
+    lies on, for states planted at least 1e-14 from it (roundoff in the
+    rotation and in eigvalsh is a few 1e-16 here)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=_SEEDS,
+        dim=st.sampled_from([4, 8]),
+        plants=st.lists(
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(1e-14, 1e-11)), min_size=1, max_size=6
+        ),
+    )
+    def test_decides_by_the_side_of_the_threshold(self, seed, dim, plants):
+        rng = np.random.default_rng(seed)
+        dims = {4: (2, 2), 8: (2, 2, 2)}[dim]
+        mats = [_planted(dim, side, delta, rng) for side, delta in plants]
+        outcomes = [_raised(_validate, m[None], dims) for m in mats]
+        for (side, _), got in zip(plants, outcomes):
+            if side > 0:
+                assert got is None
+            else:
+                assert got[0] is NotPSDError
+        # A stack decides as its states alone: the first rejected one raises.
+        want = next((o for o in outcomes if o is not None), None)
+        assert _raised(_validate, np.array(mats), dims) == want
 
 
 def _three_qubit_states():

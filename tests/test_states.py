@@ -63,9 +63,9 @@ class TestConstantInputs:
         fresh = build()
         assert fresh is not constant and fresh is not build()
         assert constant.dims == fresh.dims
-        for got, want in [(constant.mat, fresh.mat), *zip(constant.eig, fresh.eig)]:
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        got, want = constant.mat, fresh.mat
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_protocol_and_cascade_start_from_the_constant(self):
         assert run_protocol(0.4, eps=0.25, p=0.85).steps[0].state is SINGLET_STANDARD

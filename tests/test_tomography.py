@@ -110,7 +110,7 @@ class TestFiniteShots:
         for _ in range(10):
             counts = simulate_counts(singlet_standard(), 50, rng)
             rec = reconstruct(counts, 50)
-            assert rec.eig[0].min() >= -1e-12
+            assert np.linalg.eigvalsh(rec.mat).min() >= -1e-12
 
     def test_concurrence_estimate_near_truth(self):
         rho = sigma2(0.4)
