@@ -127,9 +127,8 @@ def couple_grid(
 ) -> list[PostSelectedState]:
     """The Kraus map of the module docstring at each coupling in ``params``,
     each operator normalized once, so success_prob = p * prob_coherent +
-    (1-p) * prob_distinguishable.  A branch of weight 0 is not computed.
-    The inputs have unit trace, so a weight that rounds above 1 (at T = 0
-    or 1) is capped at 1.  The stack's working set grows with
+    (1-p) * prob_distinguishable (:func:`_coupling_weights`).  A branch of
+    weight 0 is not computed.  The stack's working set grows with
     ``len(params)``: chunk long grids."""
     if signal.dims != (2, 2):
         raise DimensionError(f"couple: signal dims {signal.dims}, expected (2, 2)")
@@ -137,7 +136,13 @@ def couple_grid(
         raise DimensionError(f"couple: env dims {env.dims}, expected (2,)")
     unnorm = _apply_ops(kron(signal.mat, env.mat), model.p, *_coupling_ops(params))
     states, probs = normalize_stack(unnorm, (2, 2, 2))
-    return [PostSelectedState(rho, min(prob, 1.0)) for rho, prob in zip(states, probs)]
+    return [PostSelectedState(rho, prob) for rho, prob in zip(states, _coupling_weights(probs))]
+
+
+def _coupling_weights(traces: list[float]) -> list[float]:
+    """The success probabilities of couplings of unit-trace inputs: their
+    traces, with one that rounds above 1 (at T = 0 or 1) capped at 1."""
+    return [min(w, 1.0) for w in traces]
 
 
 def _coupling_ops(params: Sequence[CouplingParams]) -> tuple[np.ndarray, ...]:

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import CouplingParams, IndistinguishabilityModel, PostSelectedState
-from .channel import _apply_ops, _coupling_ops
+from .channel import _apply_ops, _coupling_ops, _coupling_weights
 from .errors import DimensionError, EntconcError, ZeroProbabilityError
 from .qmath import _TINY, DensityMatrix, _quotients, _settle_stages, kron, normalize
 from .qmath import normalize_stack
@@ -283,7 +283,7 @@ def couple_measure_chains(ts: Sequence[Sequence[float]], p: float = 1.0) -> list
             unnorm = _apply_ops(kron(carriers, MIXED_ENV.mat), p, *(x[:, i] for x in ops))
             mats, w = _quotients(unnorm, (2, 2, 2))
             stages.append((mats, (2, 2, 2)))
-            weights.append(w)
+            weights.append(_coupling_weights(w))
             carriers = _quotients(mats[:, ::2, ::2] + 0.0, (2, 2))[0]
             stages.append((carriers, (2, 2)))
     finally:

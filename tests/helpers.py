@@ -74,14 +74,6 @@ def concurrence_x_form(rho: DensityMatrix) -> float:
     return float(max(0.0, 2.0 * inner, 2.0 * outer))
 
 
-def prob_bits(prob: float) -> str:
-    """The bits of a step probability as ``couple`` reports it.  The chain
-    driver keeps a coupling weight that rounds above 1 (the trace of the
-    Kraus map at T = 0 or 1, 1.0000000000000002 for the singlet), which
-    ``couple`` caps at 1."""
-    return float(min(prob, 1.0)).hex()
-
-
 def stepwise_coupling(carrier: DensityMatrix, T: float, p: float):
     """The reference for one stage of ``couple_measure_chains``: one
     ``couple``, ``outcome_probabilities`` and ``measure_env`` call, each

@@ -29,7 +29,7 @@ from entconc.errors import (
 from entconc.metrics import concurrence
 from entconc.protocol import apply_filter, couple_measure_chains, couple_measure_grid, run_protocol
 from entconc.states import SINGLET_STANDARD
-from helpers import exact_cascade_cells, prob_bits, stepwise_cascade, stepwise_coupling
+from helpers import exact_cascade_cells, stepwise_cascade, stepwise_coupling
 
 SQ3 = 1.0 / np.sqrt(3)
 EDGE_TS = [0.0, 0.5, 1.0, float(SQ3), float(1 - SQ3), 5e-324, 1e-160, 1 - 1e-16]
@@ -286,7 +286,7 @@ class TestProtocolIsOneStageCascade:
             for got in (protocol[name], cascade[f"{name}_1"]):
                 assert got.state.dims == state.dims
                 assert got.state.mat.tobytes() == state.mat.tobytes()
-                assert prob_bits(got.step_prob) == float(prob).hex()
+                assert float(got.step_prob).hex() == float(prob).hex()
 
 
 def _run_bits(run, params, p):
@@ -301,7 +301,7 @@ def _run_bits(run, params, p):
             s.name,
             s.state.dims,
             s.state.mat.tobytes(),
-            prob_bits(s.step_prob),
+            float(s.step_prob).hex(),
         )
         for s in trace.steps
     ]

@@ -70,7 +70,7 @@ def _draws(command, required=()):
 SWEEPS = _draws("sweep-coupling", required=("t_steps",))
 
 
-def _invoke(command: str, sets: dict[str, str]):
+def _run(command: str, sets: dict[str, str]):
     """Exit code, parsed JSON table and stderr of ``entconc <command>`` with
     ``sets``, any warning raised as an error."""
     argv = [command, "--format", "json"]
@@ -84,15 +84,6 @@ def _invoke(command: str, sets: dict[str, str]):
     # The notes follow the table on stdout.
     rows = json.JSONDecoder().raw_decode(out.getvalue())[0] if code == 0 else None
     return code, rows, err.getvalue()
-
-
-def _run(command: str, sets: dict[str, str]):
-    """Exit code and parsed JSON table of ``entconc <command>`` with ``sets``."""
-    return _invoke(command, sets)[:2]
-
-
-def _cascade(sets: dict[str, str]):
-    return _run("cascade", sets)
 
 
 def _check(code, rows, index=()):
@@ -122,7 +113,7 @@ def test_every_key_has_a_strategy(command):
 @example(sets={"t_list": "1e-160,0.3", "n_max": "2"})
 @example(sets={"p": "0", "t_list": "0.5,1e-160", "n_max": "2"})
 def test_cascade_domain(sets):
-    _check(*_cascade(sets), index=("N",))
+    _check(*_run("cascade", sets)[:2], index=("N",))
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,12 +123,12 @@ def test_cascade_domain(sets):
 @example(sets={"t": "5e-324"})
 @example(sets={"overlap_grid": ""})
 def test_hom_domain(sets):
-    _check(*_run("hom", sets))
+    _check(*_run("hom", sets)[:2])
 
 
 def test_hom_p_recovered_at_most_one():
     # visibility * c_dist / (c_dist - c_id) printed 1.0000000000000002 here at overlap 1.
-    code, rows = _run("hom", {"t": "0.35154449402376337"})
+    code, rows, _ = _run("hom", {"t": "0.35154449402376337"})
     _check(code, rows)
     assert rows[-1]["overlap"] == 1.0 and rows[-1]["p_recovered"] == 1.0
 
@@ -150,12 +141,12 @@ def test_hom_p_recovered_at_most_one():
 @example(sets={"t_steps": "2", "t_min": "1.0", "t_max": "0.0"})
 @example(sets={"t_steps": "8", "t_grid": ""})
 def test_sweep_coupling_domain(sets):
-    _check(*_run("sweep-coupling", sets))
+    _check(*_run("sweep-coupling", sets)[:2])
 
 
 def test_sweep_coupling_success_prob_at_most_one():
     # The coupling weight at T = 0 and 1 printed 1.0000000000000002 here.
-    code, rows = _run("sweep-coupling", {"t_steps": "8", "p": "0.85"})
+    code, rows, _ = _run("sweep-coupling", {"t_steps": "8", "p": "0.85"})
     _check(code, rows)
     assert [r["P_success"] for r in rows if r["T"] in (0.0, 1.0)] == [1.0, 1.0]
 
@@ -172,7 +163,7 @@ def _named(err: str, sets: dict[str, str]) -> list[str]:
 @example(sets={"state": "sigma2", "t": "1e-160", "shots": "1"})
 @example(sets={"state": "singlet", "shots": "100000", "seed": "0"})
 def test_tomo_domain(sets):
-    code, rows, err = _invoke("tomo", sets)
+    code, rows, err = _run("tomo", sets)
     _check(code, rows, index=("state", "shots", "seed"))
     if code == 2:
         # The reader fills in the keys that were not drawn.
@@ -185,31 +176,31 @@ def test_tomo_domain(sets):
 )
 def test_tomo_zero_measure_names_eps():
     sets = {"state": "sigma3", "t": "0.4", "eps": "5e-324"}
-    code, _, err = _invoke("tomo", sets)
+    code, _, err = _run("tomo", sets)
     assert code == 2
     assert "eps" in _named(err, sets), err
 
 
 def test_deep_chain_closed_form_matches_simulation():
-    code, rows = _cascade({"t": "0.4", "n_max": "300"})
+    code, rows, _ = _run("cascade", {"t": "0.4", "n_max": "300"})
     assert code == 0
     for row in rows:
         assert abs(row["C_closed"] - row["C_sim"]) <= 1e-12 * row["C_sim"]
 
 
 def test_tiny_first_coupling():
-    code, rows = _cascade({"t_list": "1e-160,0.3", "n_max": "2"})
+    code, rows, _ = _run("cascade", {"t_list": "1e-160,0.3", "n_max": "2"})
     assert code == 0
     assert abs(rows[1]["C_closed"] - rows[1]["C_sim"]) <= 1e-12 * rows[1]["C_sim"]
     assert f"{rows[1]['C_closed']:.12g}" == "3.24324324324e-161"
 
 
 def test_subnormal_chain_at_p_zero_succeeds():
-    assert _cascade({"p": "0", "t_list": "0.5,1e-160", "n_max": "2"})[0] == 0
+    assert _run("cascade", {"p": "0", "t_list": "0.5,1e-160", "n_max": "2"})[0] == 0
 
 
 def test_sim_keeps_the_last_bit_of_t_minus_r_below_half():
     # T - R is 2T - 1 in the coupling too, so C_sim is the closed form here.
-    code, rows = _cascade({"t_list": "0.49999999999999994", "n_max": "1"})
+    code, rows, _ = _run("cascade", {"t_list": "0.49999999999999994", "n_max": "1"})
     assert code == 0
     assert rows[0]["C_sim"] == rows[0]["C_closed"] == 2.220446049250313e-16

@@ -31,16 +31,7 @@ from entconc.protocol import (
 )
 from entconc.qmath import DensityMatrix, kron, normalize, partial_trace, ptrace_stack
 from entconc.states import SINGLET_STANDARD, mixed_env, singlet_standard
-from helpers import (
-    KET_H,
-    KET_V,
-    feed_forward,
-    is_x_form,
-    prob_bits,
-    random_psd,
-    sigma2,
-    stepwise_coupling,
-)
+from helpers import KET_H, KET_V, feed_forward, is_x_form, random_psd, sigma2, stepwise_coupling
 
 
 def _post_measurement(T, result="H"):
@@ -353,6 +344,13 @@ class TestRunProtocol:
             prod *= step.step_prob
         assert tr.cumulative_prob == pytest.approx(prod, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [0.0, 0.85, 1.0])
+    @pytest.mark.parametrize("feed", [False, True])
+    def test_identity_coupling_has_weight_one(self, p, feed):
+        # At T = 1 the coupling's trace rounds to 1.0000000000000002.
+        tr = run_protocol(1.0, p=p, feed_forward_enabled=feed)
+        assert [s.step_prob for s in tr.steps] == [1.0, 1.0, 1.0 if feed else 0.5]
+
     def test_post_measurement_band_p085(self):
         tr = run_protocol(0.4, p=0.85)
         c = concurrence(tr.final_state).value
@@ -404,7 +402,7 @@ def _assert_reference_front(trace, T, p, feed):
     coupled, (prob_h, prob_v), measured = stepwise_coupling(SINGLET_STANDARD, T, p)
     assert [s.name for s in trace.steps[:3]] == ["input", "coupled", "measured"]
     _assert_same_state(trace.steps[1].state, coupled.rho)
-    assert prob_bits(trace.steps[1].step_prob) == float(coupled.success_prob).hex()
+    assert float(trace.steps[1].step_prob).hex() == float(coupled.success_prob).hex()
     _assert_same_state(trace.steps[2].state, measured.rho)
     want = prob_h + prob_v if feed else prob_h
     assert float(trace.steps[2].step_prob).hex() == float(want).hex()
